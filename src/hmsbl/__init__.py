@@ -5,7 +5,19 @@ grid point owns a block of latent rows whose learned intra-block correlation
 matrix carries the second coordinate, recovered gridlessly by polynomial
 rooting.  A conventional flat solver over the full 2-D grid is included as
 the baseline, along with a config-driven benchmark harness.
+
+Importing the package makes BLAS single-threaded unless the environment
+already says otherwise: the solver's largest dense matrix is (nx ny)^2, on
+which BLAS threads cost more than they save, and trial-level parallelism
+comes from HMSBL_WORKERS processes, which inherit the setting.  It takes
+effect only when hmsbl is imported before numpy.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from ._version import __version__
 from .signal_model import (

@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 Worker processes for trial-parallel experiments come from the
-HMSBL_WORKERS environment variable (default 1).
+HMSBL_WORKERS environment variable (default 1); a value that is not a
+positive integer is a runtime failure.
 """
 
 import argparse

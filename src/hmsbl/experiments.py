@@ -612,10 +612,14 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
 
 
 def _worker_count() -> int:
+    raw = os.environ.get("HMSBL_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("HMSBL_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError([f"HMSBL_WORKERS must be a positive integer, got {raw!r}"])
+    return workers
 
 
 def _map_trials(fn, config: ExperimentConfig):

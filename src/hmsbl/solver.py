@@ -13,7 +13,11 @@ the marginal covariance is assembled blockwise as
 
     Sigma_y = sum_i gamma_i (phi_i phi_i^H) kron B_i + lam I
 
-so per-iteration cost never depends on any v-grid size.
+which is one GEMM of the cached table of outer products phi_i phi_i^H
+(M x nx^2) against the stacked gamma_i B_i (M x ny^2).  The per-block
+quadratic forms of the posterior covariance are one GEMM through the same
+table, and Sigma_y is Cholesky-factored once per EM iteration, so
+per-iteration cost never depends on any v-grid size.
 """
 
 import math
@@ -142,76 +146,92 @@ class RunDiagnostics:
 
 
 class _KronIdentityOperator:
-    """Phi kron I_b applied blockwise; nothing of size (n x M b) is formed."""
+    """Phi kron I_b applied blockwise; nothing of size (n x M b) is formed.
+
+    Every kernel is one GEMM over the block index.  Sigma_y assembly and the
+    per-block quadratic forms both contract through the outer-product table
+
+        P[m, x nx + y] = phi[x, m] conj(phi[y, m])        (M x nx^2)
+
+    which, like phi^H, is built once per operator:
+
+        signal_cov:  P^T S  with S[m, (k, l)] = gamma_m B_m[k, l]
+        quad_blocks: P R    with R[(y, x), (k, l)] = Rinv[x b + k, y b + l]
+
+    using conj(P[m, x nx + y]) = P[m, y nx + x]; each is framed by a
+    permutation of the four (x, y, k, l) axes.
+    """
 
     def __init__(self, phi: np.ndarray, block_size: int):
-        self.phi = np.asarray(phi, dtype=complex)
+        self.factor = np.asarray(phi, dtype=complex)
+        self.factor_h = self.factor.conj().T.copy()
         self.block_size = int(block_size)
-        self.n_factor_rows, self.n_blocks = self.phi.shape
+        self.n_factor_rows, self.n_blocks = self.factor.shape
         self.n_rows = self.n_factor_rows * self.block_size
+        outer = self.factor.T[:, :, None] * self.factor_h[:, None, :]
+        self.outer = outer.reshape(self.n_blocks, -1)
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
         # sum_i (phi_i phi_i^H) kron (gamma_i B_i)
-        c4 = np.einsum("xm,ym,mkl->xkyl", self.phi, self.phi.conj(), scaled, optimize=True)
-        return c4.reshape(self.n_rows, self.n_rows)
+        nx, b = self.n_factor_rows, self.block_size
+        c4 = (self.outer.T @ scaled.reshape(self.n_blocks, b * b)).reshape(nx, nx, b, b)
+        return c4.transpose(0, 2, 1, 3).reshape(self.n_rows, self.n_rows)
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        w3 = w.reshape(self.n_factor_rows, self.block_size, -1)
-        return np.einsum("xm,xkl->mkl", self.phi.conj(), w3, optimize=True)
+        w2 = w.reshape(self.n_factor_rows, -1)
+        return (self.factor_h @ w2).reshape(self.n_blocks, self.block_size, -1)
 
     def forward(self, blocks: np.ndarray) -> np.ndarray:
-        out = np.einsum("xm,mkl->xkl", self.phi, blocks, optimize=True)
+        out = self.factor @ blocks.reshape(self.n_blocks, -1)
         return out.reshape(self.n_rows, -1)
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
         # (phi_m kron I)^H Rinv (phi_m kron I) for every block m
-        r4 = rinv.reshape(self.n_factor_rows, self.block_size, self.n_factor_rows, self.block_size)
-        t = np.einsum("xm,xkyl->mkyl", self.phi.conj(), r4, optimize=True)
-        return np.einsum("mkyl,ym->mkl", t, self.phi, optimize=True)
+        nx, b = self.n_factor_rows, self.block_size
+        r = rinv.reshape(nx, b, nx, b).transpose(2, 0, 1, 3).reshape(nx * nx, b * b)
+        return (self.outer @ r).reshape(self.n_blocks, b, b)
 
     def gram_fro(self) -> float:
         # || (Phi Phi^H) kron I ||_F = || Phi Phi^H ||_F * sqrt(b)
-        g = self.phi @ self.phi.conj().T
+        g = self.factor @ self.factor_h
         return float(np.linalg.norm(g, "fro") * math.sqrt(self.block_size))
-
-    def lambda_penalty(self, gamma: np.ndarray, lam: float) -> float:
-        g = (self.phi * gamma) @ self.phi.conj().T
-        a = g + lam * np.eye(self.n_factor_rows)
-        tr = np.trace(np.linalg.solve(a, g)).real
-        return lam * tr / self.n_factor_rows
 
 
 class _ColumnOperator:
     """Arbitrary dictionary columns treated as blocks of width one."""
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.n_rows, self.n_blocks = self.matrix.shape
+        self.factor = np.asarray(matrix, dtype=complex)
+        self.factor_conj = self.factor.conj()
+        self.n_rows, self.n_blocks = self.factor.shape
         self.block_size = 1
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
         w = scaled[:, 0, 0].real
-        return (self.matrix * w) @ self.matrix.conj().T
+        return (self.factor * w) @ self.factor_conj.T
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        return (self.matrix.conj().T @ w)[:, None, :]
+        return (self.factor_conj.T @ w)[:, None, :]
 
     def forward(self, blocks: np.ndarray) -> np.ndarray:
-        return self.matrix @ blocks[:, 0, :]
+        return self.factor @ blocks[:, 0, :]
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
-        t = rinv @ self.matrix
-        q = np.einsum("xp,xp->p", self.matrix.conj(), t)
+        t = rinv @ self.factor
+        q = np.einsum("xp,xp->p", self.factor_conj, t)
         return q[:, None, None]
 
     def gram_fro(self) -> float:
-        return float(np.linalg.norm(self.matrix @ self.matrix.conj().T, "fro"))
+        return float(np.linalg.norm(self.factor @ self.factor_conj.T, "fro"))
 
-    def lambda_penalty(self, gamma: np.ndarray, lam: float) -> float:
-        g = (self.matrix * gamma) @ self.matrix.conj().T
-        a = g + lam * np.eye(self.n_rows)
-        tr = np.trace(np.linalg.solve(a, g)).real
-        return lam * tr / self.n_rows
+
+def _lambda_penalty(a: np.ndarray, gamma: np.ndarray, lam: float) -> float:
+    """(lam / n_a) tr(A Gamma A^H (A Gamma A^H + lam I)^-1) for the factor
+    matrix A of either operator (Phi_u, or the flat dictionary)."""
+    g = (a * gamma) @ a.conj().T
+    n_a = a.shape[0]
+    tr = np.trace(np.linalg.solve(g + lam * np.eye(n_a), g)).real
+    return lam * tr / n_a
 
 
 def _operator_for(dictionary, y: SnapshotSet):
@@ -283,16 +303,14 @@ def _factor_sigma_y(op, state: HMsblState):
     return scaled, cho
 
 
-def _posterior(op, data: np.ndarray, state: HMsblState) -> Posterior:
-    scaled, cho = _factor_sigma_y(op, state)
+def _posterior(op, data: np.ndarray, scaled: np.ndarray, cho) -> Posterior:
+    """Posterior from a prior ``scaled`` and the Cholesky factor ``cho`` of
+    its Sigma_y, both as returned by ``_factor_sigma_y``."""
     rinv = cho_solve(cho, np.eye(op.n_rows, dtype=complex))
-    w = cho_solve(cho, data)
-    z = op.adjoint_blocks(w)
-    mu_blocks = np.einsum("mab,mbl->mal", scaled, z)
+    z = op.adjoint_blocks(cho_solve(cho, data))
     g = op.quad_blocks(rinv)
-    sigma = scaled - np.einsum("mab,mbc,mcd->mad", scaled, g, scaled, optimize=True)
-    sigma = _hermitize(sigma)
-    mu = mu_blocks.reshape(op.n_blocks * op.block_size, -1)
+    sigma = _hermitize(scaled - scaled @ g @ scaled)
+    mu = (scaled @ z).reshape(op.n_blocks * op.block_size, -1)
     return Posterior(mu=mu, sigma_blocks=sigma)
 
 
@@ -307,12 +325,12 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
     if not state.active.any():
         raise SolverError("no active blocks left")
     op = _operator_for(dictionary, y)
-    return _posterior(op, y.y, state)
+    return _posterior(op, y.y, *_factor_sigma_y(op, state))
 
 
 def _moment_blocks(post: Posterior, n_blocks: int, block_size: int, n_snapshots: int) -> np.ndarray:
     mu_b = post.mu.reshape(n_blocks, block_size, -1)
-    outer = np.einsum("mal,mbl->mab", mu_b, mu_b.conj()) / n_snapshots
+    outer = (mu_b @ mu_b.conj().swapaxes(-1, -2)) / n_snapshots
     return _hermitize(post.sigma_blocks + outer)
 
 
@@ -320,11 +338,15 @@ def _gamma_from_moments(moments, b_mats, active, b_loading) -> np.ndarray:
     m = b_mats.shape[0]
     b = b_mats.shape[1]
     gamma = np.zeros(m)
-    if active.any():
+    if not active.any():
+        return gamma
+    if b == 1:
+        traces = moments[active, 0, 0].real / (b_mats[active, 0, 0].real + b_loading)
+    else:
         loaded = b_mats[active] + b_loading * np.eye(b)
         solved = np.linalg.solve(loaded, moments[active])
         traces = np.einsum("mkk->m", solved).real / b
-        gamma[active] = np.maximum(traces, 0.0)
+    gamma[active] = np.maximum(traces, 0.0)
     return gamma
 
 
@@ -388,7 +410,7 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
     n = op.n_rows
     L = y.n_snapshots
     lam = float(np.linalg.norm(resid, "fro") ** 2) / (n * L)
-    lam += op.lambda_penalty(np.where(state.active, state.gamma, 0.0), state.noise_var)
+    lam += _lambda_penalty(op.factor, np.where(state.active, state.gamma, 0.0), state.noise_var)
     floor = 1e-12 * float(np.linalg.norm(y.y, "fro") ** 2) / (L * n)
     return max(lam, floor)
 
@@ -396,12 +418,11 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
     op = _operator_for(dictionary, y)
-    scm = sample_covariance(y)
-    return _cost_from_scm(op, scm, state)
-
-
-def _cost_from_scm(op, scm: np.ndarray, state: HMsblState) -> float:
     _, cho = _factor_sigma_y(op, state)
+    return _cost(cho, sample_covariance(y))
+
+
+def _cost(cho, scm: np.ndarray) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]).real)))
     tr = float(np.trace(cho_solve(cho, scm)).real)
     cost = logdet + tr
@@ -464,6 +485,11 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     non-increasing while lambda is fixed and pruning is off, with B_i still
     unit-norm and gamma_i carrying all block power.
 
+    Sigma_y is factored once per iteration: the factor that evaluates an
+    iteration's cost also gives the next iteration's posterior, unless
+    pruning then changed the active set.  An unchanged set leaves the prior
+    bit-identical, so the reuse is exact.
+
     ``on_iteration(iteration, state, posterior)`` is invoked after every
     completed iteration (1-based); treat its arguments as read-only and
     copy anything retained.  Returns (state, posterior, diagnostics).
@@ -473,7 +499,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     data = compress_snapshots(y) if params.compress else y
     scm = sample_covariance(data)
 
-    state.cost_trace.append(_cost_from_scm(op, scm, state))
+    factored = _factor_sigma_y(op, state)
+    state.cost_trace.append(_cost(factored[1], scm))
     iter_seconds = []
     active_counts = []
     converged = False
@@ -481,7 +508,9 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
 
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        post = _posterior(op, data.y, state)
+        if factored is None:
+            factored = _factor_sigma_y(op, state)
+        post = _posterior(op, data.y, *factored)
         moments = _moment_blocks(post, op.n_blocks, op.block_size, data.n_snapshots)
         g_raw = _gamma_from_moments(moments, state.b_mats, state.active, params.b_loading)
 
@@ -498,8 +527,12 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         if params.lambda_mode == "adaptive":
             state.noise_var = update_lambda(data, post, state, dictionary)
 
-        state.cost_trace.append(_cost_from_scm(op, scm, state))
-        state.active = prune(state, params)
+        factored = _factor_sigma_y(op, state)
+        state.cost_trace.append(_cost(factored[1], scm))
+        kept = prune(state, params)
+        if not np.array_equal(kept, state.active):
+            factored = None
+        state.active = kept
         state.gamma = np.where(state.active, state.gamma, 0.0)
 
         iter_seconds.append(time.perf_counter() - t0)
@@ -513,7 +546,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             break
 
     if post is None:
-        post = _posterior(op, data.y, state)
+        post = _posterior(op, data.y, *factored)
     diagnostics = RunDiagnostics(
         cost_trace=list(state.cost_trace),
         iter_seconds=iter_seconds,

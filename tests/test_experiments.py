@@ -383,3 +383,26 @@ def test_cli_version():
     r = _run_cli(["--version"])
     assert r.returncode == 0
     assert "hmsbl" in r.stdout
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_cli_run_rejects_bad_worker_count(tmp_path, value):
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(_base_config(trials=1)))
+    r = subprocess.run([sys.executable, "-m", "hmsbl.cli", "run", str(p), "--out", str(tmp_path)],
+                       capture_output=True, text=True, env=dict(os.environ, HMSBL_WORKERS=value))
+    assert r.returncode == 1
+    assert r.stderr.strip().splitlines() == [
+        f"error: HMSBL_WORKERS must be a positive integer, got {value!r}"]
+    assert not (tmp_path / "record.json").exists()
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_sets_single_threaded_blas_default(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, hmsbl; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == want

@@ -21,11 +21,13 @@ from hmsbl.solver import (
     update_lambda,
 )
 from oracles import (
+    block_diag_prior,
     dense_flat_cost,
     dense_flat_posterior,
     dense_ml_cost,
     dense_posterior,
     dense_sigma_y,
+    kron_identity_loop,
 )
 
 
@@ -175,6 +177,16 @@ def test_update_gamma_uses_snapshot_average():
     assert got[0] == pytest.approx(want, rel=1e-8)
 
 
+def test_update_gamma_block_size_one():
+    # b = 1: gamma_i = moment_i / (B_i + loading), no matrix solve
+    state = HMsblState(gamma=np.ones(3), b_mats=np.array([0.5, 2.0, 1.0])[:, None, None] + 0j,
+                       noise_var=0.1, active=np.array([True, True, False]), cost_trace=[])
+    post = Posterior(mu=np.zeros((3, 2), dtype=complex),
+                     sigma_blocks=np.array([0.3, 0.8, 0.4])[:, None, None] + 0j)
+    got = update_gamma(post, state, n_snapshots=2, b_loading=1e-3)
+    np.testing.assert_allclose(got, [0.3 / 0.501, 0.8 / 2.001, 0.0], rtol=1e-14)
+
+
 def test_update_b_identity_moment():
     # [DERIVED] moment I (2x2), gamma 1 -> B = I / sqrt(2)
     state = HMsblState(gamma=np.array([1.0]),
@@ -304,6 +316,47 @@ def test_sigma_y_assembly_is_hermitian():
     assert np.array_equal(sy, sy.conj().T)  # exact, not approximate
     want = dense_sigma_y(pair.phi_u, 2, state.gamma, state.b_mats, 0.0)
     assert np.max(np.abs(sy - want)) < 1e-12
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (4, 3, 11), (1, 4, 6),
+                                       (5, 1, 9), (1, 1, 4)])
+@pytest.mark.parametrize("kind", ["kron", "column"])
+def test_operator_kernels_match_dense_products(nx, ny, m, kind):
+    # each kernel against the dense (Phi o I_ny) built by the index formula;
+    # the flat operator runs on that dense matrix as M ny blocks of width one
+    rng = np.random.default_rng(100 * nx + 10 * ny + m)
+    phi = _cplx(rng, nx, m)
+    d = kron_identity_loop(phi, ny)
+    if kind == "kron":
+        op, b = solver._KronIdentityOperator(phi, ny), ny
+    else:
+        op, b = solver._ColumnOperator(d), 1
+    n_blocks, n_snap = d.shape[1] // b, 3
+
+    state = _random_state(rng, n_blocks, b)
+    state.active = rng.uniform(size=n_blocks) < 0.6  # partially pruned
+    state.active[0] = True
+    scaled = solver._scaled_prior(state)
+    want = d @ block_diag_prior(np.ones(n_blocks), scaled) @ d.conj().T
+    assert np.max(np.abs(op.signal_cov(scaled) - want)) < 1e-12
+
+    rmat = _cplx(rng, nx * ny, nx * ny)  # not Hermitian: every index order counts
+    full = d.conj().T @ rmat @ d
+    want = np.array([full[i * b:(i + 1) * b, i * b:(i + 1) * b] for i in range(n_blocks)])
+    assert np.max(np.abs(op.quad_blocks(rmat) - want)) < 1e-12
+
+    w = _cplx(rng, nx * ny, n_snap)
+    want = (d.conj().T @ w).reshape(n_blocks, b, n_snap)
+    assert np.max(np.abs(op.adjoint_blocks(w) - want)) < 1e-12
+
+    blocks = _cplx(rng, n_blocks, b, n_snap)
+    blocks[~state.active] = 0.0
+    want = d @ blocks.reshape(n_blocks * b, n_snap)
+    assert np.max(np.abs(op.forward(blocks) - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +529,33 @@ def test_run_adaptive_lambda_moves():
                                               cost_tol=0.0))
     assert state.noise_var > 0
     assert np.isfinite(diag.cost_trace).all()
+
+
+def test_run_reuses_factor_exactly():
+    # run() hands the factor of each iteration's cost to the next posterior
+    # unless pruning changed the active set; either way every posterior must
+    # equal a fresh E-step on the state the previous iteration left
+    rng = np.random.default_rng(25)
+    y, pair = _random_instance(rng, nx=4, ny=3, mu=16, n_snap=20, k=2)
+    params = HMsblParams(max_iters=40, compress=False, prune_tol=1e-2,
+                         lambda_mode="adaptive", cost_tol=0.0)
+    states = [init_state(y, pair, params)]
+    posts = []
+
+    def grab(it, state, post):
+        states.append(HMsblState(gamma=state.gamma.copy(), b_mats=state.b_mats.copy(),
+                                 noise_var=state.noise_var, active=state.active.copy()))
+        posts.append(Posterior(mu=post.mu.copy(), sigma_blocks=post.sigma_blocks.copy()))
+
+    run(y, pair, params, on_iteration=grab)
+    assert len(posts) == params.max_iters
+    counts = [int(s.active.sum()) for s in states]
+    pruned = [b < a for a, b in zip(counts, counts[1:])]
+    assert any(pruned) and not all(pruned)
+    for prev, post in zip(states, posts):
+        fresh = e_step(y, prev, pair)
+        assert np.max(np.abs(post.mu - fresh.mu)) < 1e-10
+        assert np.max(np.abs(post.sigma_blocks - fresh.sigma_blocks)) < 1e-10
 
 
 def test_run_compress_equivalence_cost_trace():
