@@ -29,9 +29,8 @@ def _load_or_exit(path):
         raise SystemExit(2)
     config, errors = experiments.validate_config(text)
     if config is None:
-        print(f"invalid config {path}:", file=sys.stderr)
         for err in errors:
-            print(f"  {err}", file=sys.stderr)
+            print(f"invalid config {path}: {err}", file=sys.stderr)
         raise SystemExit(2)
     return config
 

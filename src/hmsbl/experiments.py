@@ -300,7 +300,10 @@ def validate_config(text: str):
         if not isinstance(raw["timing"], dict):
             errs.append("timing: expected an object")
         else:
-            timing.update(raw["timing"])
+            unknown = set(raw["timing"]) - set(_TIMING_DEFAULTS)
+            if unknown:
+                errs.append(f"timing: unknown keys {sorted(unknown)}")
+            timing.update({k: v for k, v in raw["timing"].items() if k in _TIMING_DEFAULTS})
             _check_int(errs, "timing.repetitions", timing["repetitions"], minimum=1)
             _check_int(errs, "timing.iterations", timing["iterations"], minimum=1)
 
@@ -392,6 +395,9 @@ def _cross_validate(config):
                     if u**2 + v**2 > 1.0:
                         errs.append(
                             f"scene.generator: grid point ({u:.4f}, {v:.4f}) violates u^2 + v^2 <= 1")
+    if gen is not None and gen["kind"] == "random_on_grid" and gen["k"] > min(config.mu, config.mv):
+        errs.append(f"scene.generator.k: must be <= min(mu, mv) = {min(config.mu, config.mv)}, "
+                    f"got {gen['k']}")
     if config.allocation is not None and sum(config.allocation) != config.k_sources():
         errs.append(
             f"allocation: counts sum to {sum(config.allocation)} but the scene has "
@@ -644,35 +650,43 @@ def _relative_spread(values) -> float:
     return float((max(values) - min(values)) / min(values))
 
 
-def _paired_medians(rounds) -> np.ndarray:
-    """Per-point median iteration time, each time taken relative to its round.
+def _paired_minima(rounds) -> np.ndarray:
+    """Per-point fastest iteration time, each time taken relative to its round.
 
     ``rounds[r][p]`` holds the per-iteration seconds of sweep point p in
-    round r.  Every time is divided by the median over all points of its
-    round, which cancels a host speed level that the round's back-to-back
-    points share; the median per point is then taken over the normalised
-    samples of every round.
+    round r.  Every time is divided by the fastest iteration of its round,
+    which cancels a host speed level that the round's back-to-back points
+    share; a point's figure is then its fastest normalised iteration over
+    all rounds.  Host contention only ever adds time, so the fastest
+    iteration tracks the uncontended cost, where a median moves as soon as
+    more than half of a point's iterations were slowed (Chen and Revels,
+    "Robust benchmarking in noisy environments", 2016).
     """
     times = np.asarray(rounds, dtype=float)
-    levels = np.median(times.reshape(times.shape[0], -1), axis=1)
-    return np.median(times / levels[:, None, None], axis=(0, 2))
+    levels = times.reshape(times.shape[0], -1).min(axis=1)
+    return (times / levels[:, None, None]).min(axis=(0, 2))
 
 
 def _time_rounds(fns, rounds: int):
     """One discarded warm-up call of each solver run in ``fns``, then
-    ``rounds`` rounds that each call them all back to back.  Returns the
-    wall seconds of every call, shaped (round, point), and the solver's own
-    per-iteration seconds, shaped (round, point, iteration)."""
+    ``rounds`` rounds that each call them all back to back, in order and
+    then in reverse.  The mirrored order gives every point the same mean
+    position in its round, so a drift of host speed across the round moves
+    all points alike.  Returns the wall seconds of every call, shaped
+    (round, point, 2), and the solver's own per-iteration seconds of both
+    calls, shaped (round, point, 2 * iterations)."""
     for fn in fns:
         fn()
+    order = list(range(len(fns)))
     walls, iters = [], []
     for _ in range(rounds):
-        round_walls, round_iters = [], []
-        for fn in fns:
+        round_walls = [[] for _ in fns]
+        round_iters = [[] for _ in fns]
+        for p in order + order[::-1]:
             t0 = time.perf_counter()
-            *_, diagnostics = fn()
-            round_walls.append(time.perf_counter() - t0)
-            round_iters.append(diagnostics.iter_seconds)
+            *_, diagnostics = fns[p]()
+            round_walls[p].append(time.perf_counter() - t0)
+            round_iters[p].extend(diagnostics.iter_seconds)
         walls.append(round_walls)
         iters.append(round_iters)
     return np.asarray(walls), np.asarray(iters, dtype=float)
@@ -685,7 +699,8 @@ def run_bench(config: ExperimentConfig):
     every iteration does identical work.  The design is paired: for one
     algorithm at a time, after one discarded warm-up run per sweep point,
     each of ``timing.repetitions`` rounds runs every sweep point back to
-    back (``_time_rounds``).  An algorithm's rounds are kept together:
+    back, forward and then backward (``_time_rounds``), so that no point
+    always holds the same place in a round.  An algorithm's rounds are kept together:
     alternated with the baseline's heavy runs, the first point of each
     block-solver round ran about 10% slow on a 2-vCPU Xeon host.
     Iteration times come from the solver's own ``iter_seconds``, so one-off
@@ -695,7 +710,7 @@ def run_bench(config: ExperimentConfig):
 
     Returns (rows, assessment).  ``hmsbl_variation`` is the block solver's
     relative spread (max - min) / min across the sweep of the per-point
-    medians of ``_paired_medians``; since every point does the same work,
+    minima of ``_paired_minima``; since every point does the same work,
     it measures how far the timing still moves with Mv once host speed
     shifts common to a round are cancelled.  ``hmsbl_variation_raw`` is the
     same spread of the rows' unnormalised medians, and
@@ -720,7 +735,7 @@ def run_bench(config: ExperimentConfig):
                 runs[algo].append(functools.partial(msbl_run, y, kdict, params))
 
     timed = {algo: _time_rounds(fns, config.timing["repetitions"]) for algo, fns in runs.items()}
-    seconds = {algo: np.median(walls, axis=0) for algo, (walls, _) in timed.items()}
+    seconds = {algo: np.median(walls, axis=(0, 2)) for algo, (walls, _) in timed.items()}
     per_iter = {algo: np.median(iters, axis=(0, 2)) for algo, (_, iters) in timed.items()}
     rows = [
         {
@@ -735,7 +750,7 @@ def run_bench(config: ExperimentConfig):
     assessment = {}
     for algo in config.algorithms:
         if algo == "hmsbl":
-            assessment["hmsbl_variation"] = _relative_spread(_paired_medians(timed[algo][1]))
+            assessment["hmsbl_variation"] = _relative_spread(_paired_minima(timed[algo][1]))
             assessment["hmsbl_variation_raw"] = _relative_spread(per_iter[algo])
         else:
             assessment["msbl_strictly_increasing"] = bool(all(

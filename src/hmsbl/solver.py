@@ -15,9 +15,24 @@ the marginal covariance is assembled blockwise as
 
 which is one GEMM of the cached table of outer products phi_i phi_i^H
 (M x nx^2) against the stacked gamma_i B_i (M x ny^2).  The per-block
-quadratic forms of the posterior covariance are one GEMM through the same
-table, and Sigma_y is Cholesky-factored once per EM iteration, so
-per-iteration cost never depends on any v-grid size.
+quadratic forms D_i^H W D_i are one GEMM through the same table.
+
+An EM iteration never forms the posterior.  With R = Sigma_y^-1, the
+sample covariance S = Y Y^H / L and Gamma_i = gamma_i B_i, the posterior
+mean is mu_i = Gamma_i D_i^H R Y, so the second moment that the gamma and
+B updates consume is
+
+    Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i
+
+and, because D mu = Y - lam R Y, the noise update's data misfit is
+
+    ||Y - D mu||_F^2 = lam^2 L tr(R S R).
+
+One Cholesky factorisation of Sigma_y per iteration gives log det Sigma_y
+and R; R S R, the cost log det Sigma_y + tr(R S), the moments and the
+misfit follow by GEMMs, so per-iteration cost never depends on the number
+of snapshots or on any v-grid size.  ``mu`` and ``sigma_blocks`` of the
+posterior that ``run`` reports are computed only when first read.
 """
 
 import math
@@ -114,13 +129,44 @@ class HMsblState:
         return self.b_mats.shape[1]
 
 
-@dataclass
 class Posterior:
     """Posterior moments of X given Y: mean columns and per-block
-    covariance diagonal blocks.  Inactive blocks are identically zero."""
+    covariance diagonal blocks.  Inactive blocks are identically zero.
 
-    mu: np.ndarray
-    sigma_blocks: np.ndarray
+    ``e_step`` and ``run`` build it from Sigma_y^-1 of the prior it
+    conditions on.  Such a posterior also carries ``misfit``, the
+    ||Y - D mu||_F^2 of its data, without forming D mu, and ``run``'s
+    computes ``mu`` and ``sigma_blocks`` only when first read.  A posterior
+    given by hand has ``misfit = None``.
+    """
+
+    def __init__(self, mu=None, sigma_blocks=None):
+        self._mu = mu
+        self._sigma_blocks = sigma_blocks
+        self._source = None
+        self.misfit = None
+
+    @classmethod
+    def _conditioned(cls, op, data: SnapshotSet, marginal: "_Marginal") -> "Posterior":
+        post = cls()
+        post._source = (op, data.y, marginal)
+        post.misfit = marginal.noise_var ** 2 * data.n_snapshots * float(np.trace(marginal.rsr).real)
+        return post
+
+    @property
+    def mu(self) -> np.ndarray:
+        if self._mu is None:
+            op, y, m = self._source
+            z = op.adjoint_blocks(m.rinv @ y)
+            self._mu = (m.scaled @ z).reshape(op.n_blocks * op.block_size, -1)
+        return self._mu
+
+    @property
+    def sigma_blocks(self) -> np.ndarray:
+        if self._sigma_blocks is None:
+            op, _, m = self._source
+            self._sigma_blocks = _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv) @ m.scaled)
+        return self._sigma_blocks
 
 
 @dataclass
@@ -235,6 +281,10 @@ def _lambda_penalty(a: np.ndarray, gamma: np.ndarray, lam: float) -> float:
 
 
 def _operator_for(dictionary, y: SnapshotSet):
+    """The operator of ``dictionary`` for snapshots ``y``; an operator that
+    ``run`` already built is passed through, so its stages build none."""
+    if isinstance(dictionary, (_KronIdentityOperator, _ColumnOperator)):
+        return dictionary
     if isinstance(dictionary, DictionaryPair):
         phi_u = dictionary.phi_u
         if phi_u.shape[0] != y.nx:
@@ -291,7 +341,19 @@ def _scaled_prior(state: HMsblState) -> np.ndarray:
     return scaled
 
 
-def _factor_sigma_y(op, state: HMsblState):
+@dataclass
+class _Marginal:
+    """Sigma_y of one prior, kept as R = Sigma_y^-1 and R S R."""
+
+    scaled: np.ndarray  # gamma_i B_i, zero on inactive blocks
+    noise_var: float
+    rinv: np.ndarray
+    rsr: np.ndarray
+    cost: float  # log det Sigma_y + tr(R S)
+
+
+def _marginal(op, state: HMsblState, scm: np.ndarray) -> _Marginal:
+    """Factor Sigma_y of ``state``'s prior once; everything else is GEMMs."""
     scaled = _scaled_prior(state)
     sy = op.signal_cov(scaled)
     idx = np.arange(op.n_rows)
@@ -300,18 +362,17 @@ def _factor_sigma_y(op, state: HMsblState):
         cho = cho_factor(sy, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - requires lam <= 0
         raise SolverError(f"marginal covariance not positive definite: {exc}") from exc
-    return scaled, cho
-
-
-def _posterior(op, data: np.ndarray, scaled: np.ndarray, cho) -> Posterior:
-    """Posterior from a prior ``scaled`` and the Cholesky factor ``cho`` of
-    its Sigma_y, both as returned by ``_factor_sigma_y``."""
     rinv = cho_solve(cho, np.eye(op.n_rows, dtype=complex))
-    z = op.adjoint_blocks(cho_solve(cho, data))
-    g = op.quad_blocks(rinv)
-    sigma = _hermitize(scaled - scaled @ g @ scaled)
-    mu = (scaled @ z).reshape(op.n_blocks * op.block_size, -1)
-    return Posterior(mu=mu, sigma_blocks=sigma)
+    rs = rinv @ scm
+    cost = 2.0 * float(np.sum(np.log(np.diag(cho[0]).real))) + float(np.trace(rs).real)
+    if not math.isfinite(cost):
+        raise SolverError(f"non-finite marginal-likelihood cost {cost}")
+    return _Marginal(scaled=scaled, noise_var=state.noise_var, rinv=rinv, rsr=rs @ rinv, cost=cost)
+
+
+def _moments(op, m: _Marginal) -> np.ndarray:
+    """Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i."""
+    return _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv - m.rsr) @ m.scaled)
 
 
 def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
@@ -325,7 +386,9 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
     if not state.active.any():
         raise SolverError("no active blocks left")
     op = _operator_for(dictionary, y)
-    return _posterior(op, y.y, *_factor_sigma_y(op, state))
+    post = Posterior._conditioned(op, y, _marginal(op, state, sample_covariance(y)))
+    post.mu, post.sigma_blocks  # the E-step proper: evaluate both now
+    return post
 
 
 def _moment_blocks(post: Posterior, n_blocks: int, block_size: int, n_snapshots: int) -> np.ndarray:
@@ -403,13 +466,17 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
     where A is Phi_u (n_u = nx) for the block solver and the flat
     dictionary (n_u = n) for the baseline.  Floored at
     1e-12 tr(S_hat) / n so the next factorization stays positive definite.
+    The misfit comes from ``post.misfit`` when the posterior carries it;
+    only a posterior given by hand costs the product D mu.
     """
     op = _operator_for(dictionary, y)
-    mu_blocks = post.mu.reshape(op.n_blocks, op.block_size, -1)
-    resid = y.y - op.forward(mu_blocks)
+    misfit = post.misfit
+    if misfit is None:
+        resid = y.y - op.forward(post.mu.reshape(op.n_blocks, op.block_size, -1))
+        misfit = float(np.linalg.norm(resid, "fro") ** 2)
     n = op.n_rows
     L = y.n_snapshots
-    lam = float(np.linalg.norm(resid, "fro") ** 2) / (n * L)
+    lam = misfit / (n * L)
     lam += _lambda_penalty(op.factor, np.where(state.active, state.gamma, 0.0), state.noise_var)
     floor = 1e-12 * float(np.linalg.norm(y.y, "fro") ** 2) / (L * n)
     return max(lam, floor)
@@ -418,17 +485,7 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
     op = _operator_for(dictionary, y)
-    _, cho = _factor_sigma_y(op, state)
-    return _cost(cho, sample_covariance(y))
-
-
-def _cost(cho, scm: np.ndarray) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]).real)))
-    tr = float(np.trace(cho_solve(cho, scm)).real)
-    cost = logdet + tr
-    if not math.isfinite(cost):
-        raise SolverError(f"non-finite marginal-likelihood cost {cost}")
-    return cost
+    return _marginal(op, state, sample_covariance(y)).cost
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
@@ -485,22 +542,26 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     non-increasing while lambda is fixed and pruning is off, with B_i still
     unit-norm and gamma_i carrying all block power.
 
-    Sigma_y is factored once per iteration: the factor that evaluates an
-    iteration's cost also gives the next iteration's posterior, unless
-    pruning then changed the active set.  An unchanged set leaves the prior
-    bit-identical, so the reuse is exact.
+    Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
+    docstring): one Cholesky factorisation per iteration gives the cost of
+    the updated prior and, unless pruning then changed the active set, the
+    next iteration's moments and noise misfit.  An unchanged set leaves the
+    prior bit-identical, so the reuse is exact.  The operator is built once
+    and handed to ``init_state`` and ``update_lambda``.
 
     ``on_iteration(iteration, state, posterior)`` is invoked after every
-    completed iteration (1-based); treat its arguments as read-only and
-    copy anything retained.  Returns (state, posterior, diagnostics).
+    completed iteration (1-based); the posterior is that of the prior the
+    iteration started from, and its ``mu`` and ``sigma_blocks`` are computed
+    on first access.  Treat the arguments as read-only and copy anything
+    retained.  Returns (state, posterior, diagnostics).
     """
     op = _operator_for(dictionary, y)
-    state = init_state(y, dictionary, params)
+    state = init_state(y, op, params)
     data = compress_snapshots(y) if params.compress else y
     scm = sample_covariance(data)
 
-    factored = _factor_sigma_y(op, state)
-    state.cost_trace.append(_cost(factored[1], scm))
+    marginal = _marginal(op, state, scm)
+    state.cost_trace.append(marginal.cost)
     iter_seconds = []
     active_counts = []
     converged = False
@@ -508,10 +569,10 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
 
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        if factored is None:
-            factored = _factor_sigma_y(op, state)
-        post = _posterior(op, data.y, *factored)
-        moments = _moment_blocks(post, op.n_blocks, op.block_size, data.n_snapshots)
+        if marginal is None:
+            marginal = _marginal(op, state, scm)
+        post = Posterior._conditioned(op, data, marginal)
+        moments = _moments(op, marginal)
         g_raw = _gamma_from_moments(moments, state.b_mats, state.active, params.b_loading)
 
         dead = state.active & (g_raw <= 0)
@@ -525,13 +586,13 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         state.gamma = np.where(ok, g_raw * scales, 0.0)
 
         if params.lambda_mode == "adaptive":
-            state.noise_var = update_lambda(data, post, state, dictionary)
+            state.noise_var = update_lambda(data, post, state, op)
 
-        factored = _factor_sigma_y(op, state)
-        state.cost_trace.append(_cost(factored[1], scm))
+        marginal = _marginal(op, state, scm)
+        state.cost_trace.append(marginal.cost)
         kept = prune(state, params)
         if not np.array_equal(kept, state.active):
-            factored = None
+            marginal = None
         state.active = kept
         state.gamma = np.where(state.active, state.gamma, 0.0)
 
@@ -546,7 +607,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             break
 
     if post is None:
-        post = _posterior(op, data.y, *factored)
+        post = Posterior._conditioned(op, data, marginal)
     diagnostics = RunDiagnostics(
         cost_trace=list(state.cost_trace),
         iter_seconds=iter_seconds,

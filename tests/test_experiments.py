@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from hmsbl.experiments import (
     ConfigError,
     ResultRecord,
-    _paired_medians,
+    _paired_minima,
     _relative_spread,
+    _time_rounds,
     emit_plot_data,
     load_config,
     run_and_save,
@@ -134,6 +136,26 @@ def test_validate_exp3_budget_vs_max_iters():
     assert any("max_iters" in e and "budget" in e for e in errors)
 
 
+def test_validate_random_generator_fits_grid():
+    # k sources need k distinct u and k distinct v grid points
+    cfg = _base_config()
+    cfg["scene"] = {"snr_db": 20, "num_snapshots": 40,
+                    "generator": {"kind": "random_on_grid", "k": 7, "min_separation": 0.0}}
+    cfg["grids"] = {"mu": 6, "mv": 9}
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == ["scene.generator.k: must be <= min(mu, mv) = 6, got 7"]
+    cfg["scene"]["generator"]["k"] = 6
+    assert validate_config(_dumps(cfg))[1] == []
+
+
+def test_validate_rejects_unknown_timing_keys():
+    cfg = _base_config(timing={"repetitions": 3, "bogus": 1})
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == ["timing: unknown keys ['bogus']"]
+
+
 def test_config_echo_revalidates():
     config, _ = validate_config(_dumps(_base_config()))
     again, errors = validate_config(json.dumps(config.to_dict()))
@@ -203,6 +225,16 @@ def test_custom_run_reproducible():
     assert r1.created_utc != "" and r1.tool_version != ""
     assert r1.aggregate["hmsbl"]["count"] == 2
     assert r1.aggregate["hmsbl"]["mean_rmse"] < 0.2
+
+
+def test_records_do_not_depend_on_worker_count(monkeypatch):
+    config, _ = validate_config(_dumps(_base_config(trials=2)))
+    records = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("HMSBL_WORKERS", workers)
+        records[workers] = run_experiment(config).comparable_dict()
+    assert len(records["1"]["trials"]) == 2
+    assert records["1"] == records["2"]
 
 
 def test_record_roundtrip_and_plots(tmp_path):
@@ -283,23 +315,48 @@ def _synthetic_rounds(n_rounds=6, n_points=5, n_iters=60):
 
 def test_paired_spread_cancels_round_slowdown():
     rounds = _synthetic_rounds()
-    assert _relative_spread(_paired_medians(rounds)) == pytest.approx(0.0, abs=1e-12)
+    assert _relative_spread(_paired_minima(rounds)) == pytest.approx(0.0, abs=1e-12)
 
     # rounds at three host levels, each point 10% fast, even or 10% slow in
     # turn: the pooled raw medians fall in different rounds and differ,
-    # the round-normalised ones do not
+    # the round-normalised minima do not
     jitter = np.array([[0.9, 1.0, 1.1], [1.0, 1.1, 0.9], [1.1, 0.9, 1.0]])
     rounds = np.array([1.0, 1.7, 2.5])[:, None, None] * np.repeat(jitter[:, :, None], 60, axis=2)
     assert _relative_spread(np.median(rounds, axis=(0, 2))) > 0.2
-    assert _relative_spread(_paired_medians(rounds)) == pytest.approx(0.0, abs=1e-12)
+    assert _relative_spread(_paired_minima(rounds)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_paired_spread_reports_per_point_difference():
     rounds = _synthetic_rounds()
     rounds[:, 2] *= 1.5
-    medians = _paired_medians(rounds)
-    assert _relative_spread(medians) == pytest.approx(0.5)
-    assert np.argmax(medians) == 2
+    minima = _paired_minima(rounds)
+    assert _relative_spread(minima) == pytest.approx(0.5)
+    assert np.argmax(minima) == 2
+
+
+def test_paired_spread_ignores_contention_bursts():
+    # contention slows most of point 1's iterations in every round; its
+    # median moves, its fastest iteration does not
+    rounds = _synthetic_rounds()
+    rounds[:, 1, 15:55] *= 1.7
+    assert _relative_spread(np.median(rounds, axis=(0, 2))) > 0.25
+    assert _relative_spread(_paired_minima(rounds)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_time_rounds_mirrors_the_order_of_points():
+    calls = []
+
+    def point(p):
+        def fn():
+            calls.append(p)
+            return None, None, SimpleNamespace(iter_seconds=[p + 1.0] * 3)
+        return fn
+
+    walls, iters = _time_rounds([point(0), point(1), point(2)], rounds=2)
+    assert calls == [0, 1, 2] + 2 * [0, 1, 2, 2, 1, 0]
+    assert walls.shape == (2, 3, 2)
+    assert iters.shape == (2, 3, 6)
+    np.testing.assert_array_equal(iters[1, 2], [3.0] * 6)
 
 
 def test_run_bench_rows_and_assessment():
@@ -357,6 +414,22 @@ def test_cli_validate_bad_exits_2(tmp_path):
     r = _run_cli(["validate", str(p)])
     assert r.returncode == 2
     assert "seed" in r.stderr
+
+
+def test_cli_validate_oversized_generator_one_line(tmp_path):
+    cfg = _base_config()
+    cfg["scene"] = {"snr_db": 20, "num_snapshots": 40,
+                    "generator": {"kind": "random_on_grid", "k": 80}}
+    cfg["grids"] = {"mu": 6, "mv": 6}
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(cfg))
+    for command in ("validate", "run"):
+        r = _run_cli([command, str(p), "--out", str(tmp_path)] if command == "run"
+                     else [command, str(p)])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"invalid config {p}: scene.generator.k: must be <= min(mu, mv) = 6, got 80"]
 
 
 def test_cli_missing_file_exits_2():

@@ -359,6 +359,70 @@ def test_operator_kernels_match_dense_products(nx, ny, m, kind):
     assert np.max(np.abs(op.forward(blocks) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (1, 4, 6), (5, 1, 9), (1, 1, 4)])
+@pytest.mark.parametrize("kind", ["kron", "column"])
+@pytest.mark.parametrize("compress", [False, True])
+def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
+    # the moments, cost and noise update run() takes from R = Sigma_y^-1 and
+    # R S R, against dense Gaussian conditioning on the uncompressed data
+    rng = np.random.default_rng(1000 * nx + 100 * ny + m + 7 * compress)
+    phi = _cplx(rng, nx, m)
+    d = kron_identity_loop(phi, ny)
+    n, n_snap = nx * ny, 3 * nx * ny + 2  # more snapshots than rows: compression acts
+    y = SnapshotSet(y=_cplx(rng, n, n_snap), nx=nx, ny=ny, n_snapshots=n_snap)
+    if kind == "kron":
+        op, b, a = solver._KronIdentityOperator(phi, ny), ny, phi
+    else:
+        op, b, a = solver._ColumnOperator(d), 1, d
+    n_blocks = d.shape[1] // b
+    state = _random_state(rng, n_blocks, b, lam=0.3)
+    state.active = rng.uniform(size=n_blocks) < 0.6  # partially pruned
+    state.active[0] = True
+    gamma = np.where(state.active, state.gamma, 0.0)
+    data = compress_snapshots(y) if compress else y
+    assert (data.y.shape[1] < n_snap) == compress
+
+    marginal = solver._marginal(op, state, sample_covariance(data))
+    if kind == "kron":
+        mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
+        cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
+    else:
+        mu_o, var_o = dense_flat_posterior(y.y, d, gamma, 0.3)
+        sig_o = var_o[:, None, None]
+        cost_o = dense_flat_cost(sample_covariance(y), d, gamma, 0.3)
+    mu_b = mu_o.reshape(n_blocks, b, n_snap)
+    moments_o = sig_o + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
+    assert np.max(np.abs(solver._moments(op, marginal) - moments_o)) < 1e-10
+    assert marginal.cost == pytest.approx(cost_o, rel=1e-10)
+
+    post = solver.Posterior._conditioned(op, data, marginal)
+    misfit_o = np.linalg.norm(y.y - d @ mu_o, "fro") ** 2
+    assert post.misfit == pytest.approx(misfit_o, rel=1e-10)
+    g = (a * gamma) @ a.conj().T
+    pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(a.shape[0]), g)).real / a.shape[0]
+    got = update_lambda(data, post, state, op)
+    assert got == pytest.approx(misfit_o / (n * n_snap) + pen, rel=1e-10)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_adaptive_run_builds_one_operator(monkeypatch, flat):
+    # run() builds its operator once and hands it to init_state and
+    # update_lambda, which then build none of their own
+    rng = np.random.default_rng(26)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
+    dictionary = kron_dictionary(pair, prune=True) if flat else pair
+    built = []
+    for cls in (solver._KronIdentityOperator, solver._ColumnOperator):
+        def counting_init(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    params = HMsblParams(max_iters=5, lambda_mode="adaptive", cost_tol=0.0)
+    _, _, diag = run(y, dictionary, params)
+    assert diag.n_iters == 5
+    assert built == ["_ColumnOperator" if flat else "_KronIdentityOperator"]
+
+
 # ---------------------------------------------------------------------------
 # pruning
 
