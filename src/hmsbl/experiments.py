@@ -700,9 +700,10 @@ def run_bench(config: ExperimentConfig):
     algorithm at a time, after one discarded warm-up run per sweep point,
     each of ``timing.repetitions`` rounds runs every sweep point back to
     back, forward and then backward (``_time_rounds``), so that no point
-    always holds the same place in a round.  An algorithm's rounds are kept together:
-    alternated with the baseline's heavy runs, the first point of each
-    block-solver round ran about 10% slow on a 2-vCPU Xeon host.
+    always holds the same place in a round.  An algorithm's rounds are
+    kept together: alternated with the baseline's heavy runs, the first
+    point of each block-solver round ran about 10% slow on a 2-vCPU Xeon
+    host.
     Iteration times come from the solver's own ``iter_seconds``, so one-off
     set-up cost is excluded.  Each row holds, per (mv, algorithm), the
     median wall time of a whole run and the median iteration time over all

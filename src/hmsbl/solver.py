@@ -140,7 +140,7 @@ class Posterior:
     given by hand has ``misfit = None``.
     """
 
-    def __init__(self, mu=None, sigma_blocks=None):
+    def __init__(self, mu, sigma_blocks):
         self._mu = mu
         self._sigma_blocks = sigma_blocks
         self._source = None
@@ -148,7 +148,7 @@ class Posterior:
 
     @classmethod
     def _conditioned(cls, op, data: SnapshotSet, marginal: "_Marginal") -> "Posterior":
-        post = cls()
+        post = cls(None, None)
         post._source = (op, data.y, marginal)
         post.misfit = marginal.noise_var ** 2 * data.n_snapshots * float(np.trace(marginal.rsr).real)
         return post

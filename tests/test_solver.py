@@ -423,6 +423,21 @@ def test_adaptive_run_builds_one_operator(monkeypatch, flat):
     assert built == ["_ColumnOperator" if flat else "_KronIdentityOperator"]
 
 
+def test_run_posterior_is_formed_on_first_access(monkeypatch):
+    # the loop never forms mu; the posterior run() returns forms it once,
+    # when it is first read, and keeps it
+    rng = np.random.default_rng(27)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
+    calls = []
+    adjoint = solver._KronIdentityOperator.adjoint_blocks
+    monkeypatch.setattr(solver._KronIdentityOperator, "adjoint_blocks",
+                        lambda self, w: calls.append(1) or adjoint(self, w))
+    _, post, diag = run(y, pair, HMsblParams(max_iters=6, lambda_mode="adaptive", cost_tol=0.0))
+    assert diag.n_iters == 6 and calls == []
+    assert post.mu is post.mu
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # pruning
 
