@@ -59,7 +59,7 @@ from .solver import (
     update_gamma,
     update_lambda,
 )
-from .msbl import MsblState, msbl_estimates, msbl_run
+from .msbl import msbl_estimates, msbl_run
 from .pairing import (
     PairedEstimates,
     PeakAllocation,
@@ -69,15 +69,7 @@ from .pairing import (
     root_music_v,
     select_peaks,
 )
-from .metrics import (
-    MatchCountError,
-    MatchReport,
-    TimingResult,
-    TrialSummary,
-    aggregate_trials,
-    match_and_rmse,
-    timeit,
-)
+from .metrics import MatchCountError, MatchReport, match_and_rmse
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -106,13 +98,12 @@ __all__ = [
     "init_state", "e_step", "update_gamma", "update_b", "update_lambda",
     "ml_cost", "prune", "compress_snapshots", "run",
     # flat baseline
-    "MsblState", "msbl_run", "msbl_estimates",
+    "msbl_run", "msbl_estimates",
     # v extraction
     "PeakSelection", "PeakAllocation", "RootMusicEstimate", "PairedEstimates",
     "select_peaks", "root_music_v", "pair_estimates",
     # metrics
-    "MatchReport", "MatchCountError", "TrialSummary", "TimingResult",
-    "match_and_rmse", "aggregate_trials", "timeit",
+    "MatchReport", "MatchCountError", "match_and_rmse",
     # experiments
     "ExperimentConfig", "ConfigError", "ResultRecord",
     "validate_config", "load_config", "scene_for_trial",

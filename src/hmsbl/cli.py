@@ -62,7 +62,7 @@ def _cmd_bench(args):
     config = _load_or_exit(args.config)
     try:
         rows, assessment = experiments.run_bench(config)
-    except (SolverError, DegenerateInputError) as exc:
+    except (SolverError, DegenerateInputError, experiments.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     record = experiments.ResultRecord(

@@ -17,6 +17,7 @@ except for timestamps and wall-clock fields.
 """
 
 import concurrent.futures
+import copy
 import csv
 import datetime
 import functools
@@ -51,18 +52,69 @@ __all__ = [
 EXPERIMENT_KINDS = ("exp1", "exp2", "exp3", "custom")
 ALGORITHMS = ("hmsbl", "msbl")
 
-_SOLVER_DEFAULTS = {
-    "max_iters": 500,
-    "prune_tol": 1e-3,
-    "prune_mode": "relative",
-    "b_loading": 1e-10,
-    "cost_tol": 0.0,
-    "lambda_mode": "fixed",
-    "lambda_value": "oracle",
-    "compress": True,
-}
+GENERATOR_KINDS = ("grid_product", "random_on_grid")
 
-_TIMING_DEFAULTS = {"repetitions": 5, "iterations": 60}
+_REQUIRED = object()
+
+# The config schema: one row (JSON path, kind, minimum, default) per field,
+# in the key order of ExperimentConfig.to_dict.
+#   kind     "int" or "number" (at least ``minimum`` when one is given;
+#            numbers become floats), "bool", "str", "lambda" (a positive
+#            number or "oracle"), "ints" (a non-empty list of "int"),
+#            "object" (checked against the rows under its path), "objects"
+#            (a non-empty list of objects whose rows sit under ``path[]``),
+#            a tuple (one of its values) or a list (a non-empty list drawn
+#            from its values).
+#   path     ``<algo>`` stands for every name in ALGORITHMS; the rows under
+#            ``path:K`` apply only to an object whose ``kind`` is K.
+#   default  _REQUIRED, None (optional and left out when absent, as is a
+#            JSON null), or the value an absent field takes.
+# Keys with no row are rejected at every level.
+_FIELDS = (
+    ("experiment", EXPERIMENT_KINDS, None, _REQUIRED),
+    ("seed", "int", 0, _REQUIRED),
+    ("array", "object", None, _REQUIRED),
+    ("array.nx", "int", 1, _REQUIRED),
+    ("array.ny", "int", 1, _REQUIRED),
+    ("scene", "object", None, _REQUIRED),
+    ("scene.snr_db", "number", None, _REQUIRED),
+    ("scene.num_snapshots", "int", 1, _REQUIRED),
+    ("scene.sources", "objects", None, None),
+    ("scene.sources[].u", "number", None, _REQUIRED),
+    ("scene.sources[].v", "number", None, _REQUIRED),
+    ("scene.generator", "object", None, None),
+    ("scene.generator.kind", GENERATOR_KINDS, None, _REQUIRED),
+    ("scene.generator:grid_product.u_indices", "ints", 0, _REQUIRED),
+    ("scene.generator:grid_product.v_indices", "ints", 0, _REQUIRED),
+    ("scene.generator:random_on_grid.k", "int", 1, _REQUIRED),
+    ("scene.generator:random_on_grid.min_separation", "number", 0, 0.15),
+    ("grids", "object", None, _REQUIRED),
+    ("grids.mu", "int", 2, _REQUIRED),
+    ("grids.mv", "int", 2, _REQUIRED),
+    ("grids.mv_sweep", "ints", 2, None),
+    ("algorithms", list(ALGORITHMS), None, list(ALGORITHMS)),
+    ("solvers", "object", None, {}),
+    ("solvers.<algo>", "object", None, {}),
+    ("solvers.<algo>.max_iters", "int", 1, 500),
+    ("solvers.<algo>.prune_tol", "number", 0, 1e-3),
+    ("solvers.<algo>.prune_mode", ("relative", "absolute"), None, "relative"),
+    ("solvers.<algo>.b_loading", "number", 0, 1e-10),
+    ("solvers.<algo>.cost_tol", "number", 0, 0.0),
+    ("solvers.<algo>.lambda_mode", ("fixed", "adaptive"), None, "fixed"),
+    ("solvers.<algo>.lambda_value", "lambda", None, "oracle"),
+    ("solvers.<algo>.compress", "bool", None, True),
+    ("trials", "int", 1, 1),
+    ("timing", "object", None, {}),
+    ("timing.repetitions", "int", 1, 5),
+    ("timing.iterations", "int", 1, 60),
+    ("success_rmse", "number", 0, 0.05),
+    ("allocation", "ints", 1, None),
+    ("budgets", "ints", 1, None),
+    ("output_dir", "str", None, None),
+)
+
+# objects whose fields are ExperimentConfig attributes of their own
+_GROUPS = ("array", "scene", "grids")
 
 # record keys that vary run to run and are excluded from reproducibility
 _VOLATILE_KEYS = {"created_utc", "seconds", "per_iteration_seconds", "iter_seconds",
@@ -76,332 +128,223 @@ class ConfigError(ValueError):
         super().__init__("; ".join(errors))
         self.errors = list(errors)
 
+    def __reduce__(self):
+        # unpickling must rebuild from the list, not from the joined message
+        return type(self), (self.errors,)
+
+
+def _attributes():
+    """(group or None, name) of every ExperimentConfig attribute, in table order."""
+    for path, *_ in _FIELDS:
+        parts = path.split(".")
+        if len(parts) == 1 and path not in _GROUPS:
+            yield None, path
+        elif len(parts) == 2 and parts[0] in _GROUPS:
+            yield parts[0], parts[1]
+
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  The attributes are the top-level fields of
+    ``_FIELDS``, with the fields of array, scene and grids standing in for
+    those objects; an absent optional field is None.  ``sources`` holds
+    {"u", "v"} objects and ``solvers`` one spec per name in ``algorithms``.
+    Build one with ``validate_config``, which fills in the defaults."""
+
     experiment: str
     seed: int
     nx: int
     ny: int
     snr_db: float
     num_snapshots: int
-    sources: list = None
-    generator: dict = None
-    mu: int = 100
-    mv: int = 100
-    mv_sweep: list = None
-    algorithms: list = field(default_factory=lambda: list(ALGORITHMS))
-    solvers: dict = field(default_factory=dict)
-    allocation: list = None
-    trials: int = 1
-    budgets: list = None
-    timing: dict = field(default_factory=lambda: dict(_TIMING_DEFAULTS))
-    success_rmse: float = 0.05
-    output_dir: str = None
+    sources: list
+    generator: dict
+    mu: int
+    mv: int
+    mv_sweep: list
+    algorithms: list
+    solvers: dict
+    trials: int
+    timing: dict
+    success_rmse: float
+    allocation: list
+    budgets: list
+    output_dir: str
 
     def k_sources(self) -> int:
         if self.sources is not None:
             return len(self.sources)
-        kind = self.generator["kind"]
-        if kind == "grid_product":
+        if self.generator["kind"] == "grid_product":
             return len(self.generator["u_indices"]) * len(self.generator["v_indices"])
-        return int(self.generator["k"])
+        return self.generator["k"]
 
     def to_dict(self) -> dict:
-        scene = {"snr_db": self.snr_db, "num_snapshots": self.num_snapshots}
-        if self.sources is not None:
-            scene["sources"] = [{"u": u, "v": v} for u, v in self.sources]
-        else:
-            scene["generator"] = dict(self.generator)
-        grids = {"mu": self.mu, "mv": self.mv}
-        if self.mv_sweep is not None:
-            grids["mv_sweep"] = list(self.mv_sweep)
-        out = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "array": {"nx": self.nx, "ny": self.ny},
-            "scene": scene,
-            "grids": grids,
-            "algorithms": list(self.algorithms),
-            "solvers": {k: dict(v) for k, v in self.solvers.items()},
-            "trials": self.trials,
-            "timing": dict(self.timing),
-            "success_rmse": self.success_rmse,
-        }
-        if self.allocation is not None:
-            out["allocation"] = list(self.allocation)
-        if self.budgets is not None:
-            out["budgets"] = list(self.budgets)
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
+        out = {}
+        for group, name in _attributes():
+            value = getattr(self, name)
+            if value is not None:
+                (out.setdefault(group, {}) if group else out)[name] = copy.deepcopy(value)
         return out
 
 
-def _check_int(errs, path, value, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        errs.append(f"{path}: expected an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        errs.append(f"{path}: must be >= {minimum}, got {value}")
-        return None
-    return value
+def _rows_under(prefix):
+    """(key, path, kind, minimum, default) of the table rows directly under
+    the table path ``prefix``."""
+    rows = []
+    for path, kind, minimum, default in _FIELDS:
+        parent, _, key = path.rpartition(".")
+        if parent == prefix:
+            rows.extend((name, path, kind, minimum, default)
+                        for name in (ALGORITHMS if key == "<algo>" else (key,)))
+    return rows
 
 
-def _check_number(errs, path, value, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.append(f"{path}: expected a number, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        errs.append(f"{path}: must be >= {minimum}, got {value}")
-        return None
-    return float(value)
-
-
-def _validate_solver_spec(errs, path, raw, budgets):
+def _check_object(errs, raw, where, prefix):
+    """The JSON object ``raw``, found at ``where`` and described by the rows
+    under ``prefix``, in table order with defaults filled in; None after
+    appending its errors to ``errs``."""
     if not isinstance(raw, dict):
-        errs.append(f"{path}: expected an object")
+        errs.append(f"{where}: expected an object")
         return None
-    spec = dict(_SOLVER_DEFAULTS)
-    unknown = set(raw) - set(_SOLVER_DEFAULTS)
+    rows = _rows_under(prefix)
+    kinds = next((kind for key, _, kind, _, _ in rows if key == "kind"), None)
+    if kinds is not None:
+        if raw.get("kind") not in kinds:
+            errs.append(f"{where}.kind: must be one of {list(kinds)}, got {raw.get('kind')!r}")
+            return None
+        rows += _rows_under(f"{prefix}:{raw['kind']}")
+    unknown = set(raw) - {key for key, *_ in rows}
     if unknown:
-        errs.append(f"{path}: unknown keys {sorted(unknown)}")
-    spec.update({k: v for k, v in raw.items() if k in _SOLVER_DEFAULTS})
-    _check_int(errs, f"{path}.max_iters", spec["max_iters"], minimum=1)
-    _check_number(errs, f"{path}.prune_tol", spec["prune_tol"], minimum=0)
-    if spec["prune_mode"] not in ("relative", "absolute"):
-        errs.append(f"{path}.prune_mode: must be 'relative' or 'absolute'")
-    _check_number(errs, f"{path}.b_loading", spec["b_loading"], minimum=0)
-    _check_number(errs, f"{path}.cost_tol", spec["cost_tol"], minimum=0)
-    if spec["lambda_mode"] not in ("fixed", "adaptive"):
-        errs.append(f"{path}.lambda_mode: must be 'fixed' or 'adaptive'")
-    lv = spec["lambda_value"]
-    if spec["lambda_mode"] == "fixed" and lv != "oracle":
-        v = _check_number(errs, f"{path}.lambda_value", lv)
-        if v is not None and v <= 0:
-            errs.append(f"{path}.lambda_value: must be > 0 or 'oracle'")
-    if not isinstance(spec["compress"], bool):
-        errs.append(f"{path}.compress: expected true or false")
-    if budgets and isinstance(spec["max_iters"], int) and spec["max_iters"] < max(budgets):
-        errs.append(f"{path}.max_iters: below the largest budget {max(budgets)}")
-    return spec
+        errs.append(f"{where or 'config'}: unknown keys {sorted(unknown)}")
+    out, ok = {}, not unknown
+    for key, path, kind, minimum, default in rows:
+        at = f"{where}.{key}" if where else key
+        value = raw.get(key)
+        if value is None and default is None:  # optional: absent or null
+            continue
+        if key not in raw:
+            if default is _REQUIRED:
+                errs.append(f"{at}: required field is missing")
+                ok = False
+                continue
+            value = copy.deepcopy(default)
+        value = _check_value(errs, value, at, path, kind, minimum)
+        ok = ok and value is not None
+        out[key] = value
+    return out if ok else None
+
+
+def _check_value(errs, value, at, path, kind, minimum):
+    """``value`` checked against one row's kind and minimum; None after
+    appending an error to ``errs``."""
+    if kind == "object":
+        return _check_object(errs, value, at, path)
+    if kind in ("ints", "objects"):
+        if not isinstance(value, list) or not value:
+            errs.append(f"{at}: expected a non-empty list")
+            return None
+        item_path, item_kind = (f"{path}[]", "object") if kind == "objects" else (path, "int")
+        items = [_check_value(errs, v, f"{at}[{i}]", item_path, item_kind, minimum)
+                 for i, v in enumerate(value)]
+        return None if any(v is None for v in items) else items
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value or any(v not in kind for v in value):
+            errs.append(f"{at}: must be a non-empty subset of {kind}")
+            return None
+        return list(value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            errs.append(f"{at}: must be one of {list(kind)}, got {value!r}")
+            return None
+        return value
+    if kind == "bool" or kind == "str":
+        if not isinstance(value, bool if kind == "bool" else str):
+            errs.append(f"{at}: expected {'true or false' if kind == 'bool' else 'a string'}")
+            return None
+        return value
+    if kind == "lambda" and value == "oracle":
+        return value
+    if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
+        errs.append(f"{at}: expected {'an integer' if kind == 'int' else 'a number'}, got {value!r}")
+        return None
+    if kind == "lambda" and not value > 0:
+        errs.append(f"{at}: must be > 0 or 'oracle'")
+        return None
+    if minimum is not None and value < minimum:
+        errs.append(f"{at}: must be >= {minimum}, got {value}")
+        return None
+    return value if kind == "int" else float(value)
 
 
 def validate_config(text: str):
-    """Parse and validate a JSON config.
+    """Parse and validate a JSON config against ``_FIELDS``, then the rules
+    that span fields.
 
     Returns (ExperimentConfig, []) on success or (None, errors) where every
     entry names the offending field.  Never raises on bad input.
     """
-    errs = []
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         return None, [f"config: invalid JSON ({exc})"]
     if not isinstance(raw, dict):
         return None, ["config: top level must be an object"]
+    errs = []
+    doc = _check_object(errs, raw, "", "")
+    if doc is None:
+        return None, errs
+    fields = {name: (doc[group] if group else doc).get(name) for group, name in _attributes()}
+    fields["solvers"] = {algo: fields["solvers"][algo] for algo in fields["algorithms"]}
+    config = ExperimentConfig(**fields)
+    errs = _cross_validate(config)
+    return (None, errs) if errs else (config, [])
 
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENT_KINDS:
-        errs.append(f"experiment: must be one of {list(EXPERIMENT_KINDS)}, got {experiment!r}")
-    if "seed" not in raw:
-        errs.append("seed: required field is missing")
-        seed = None
-    else:
-        seed = _check_int(errs, "seed", raw["seed"], minimum=0)
 
-    array = raw.get("array")
-    nx = ny = None
-    if not isinstance(array, dict):
-        errs.append("array: required object with nx and ny")
-    else:
-        nx = _check_int(errs, "array.nx", array.get("nx"), minimum=1)
-        ny = _check_int(errs, "array.ny", array.get("ny"), minimum=1)
-
-    scene = raw.get("scene")
-    snr_db = num_snapshots = None
-    sources = generator = None
-    if not isinstance(scene, dict):
-        errs.append("scene: required object")
-    else:
-        snr_db = _check_number(errs, "scene.snr_db", scene.get("snr_db"))
-        num_snapshots = _check_int(errs, "scene.num_snapshots", scene.get("num_snapshots"), minimum=1)
-        has_src = "sources" in scene
-        has_gen = "generator" in scene
-        if has_src == has_gen:
-            errs.append("scene: exactly one of 'sources' or 'generator' is required")
-        elif has_src:
-            sources = _validate_sources(errs, scene["sources"])
-        else:
-            generator = _validate_generator(errs, scene["generator"])
-
-    grids = raw.get("grids")
-    mu = mv = None
-    mv_sweep = None
-    if not isinstance(grids, dict):
-        errs.append("grids: required object with mu and mv")
-    else:
-        mu = _check_int(errs, "grids.mu", grids.get("mu"), minimum=2)
-        mv = _check_int(errs, "grids.mv", grids.get("mv"), minimum=2)
-        if "mv_sweep" in grids:
-            sweep = grids["mv_sweep"]
-            if not isinstance(sweep, list) or not sweep:
-                errs.append("grids.mv_sweep: expected a non-empty list")
-            else:
-                mv_sweep = [_check_int(errs, f"grids.mv_sweep[{i}]", m, minimum=2)
-                            for i, m in enumerate(sweep)]
-        if experiment == "exp1" and mv_sweep is None:
-            errs.append("grids.mv_sweep: required for exp1")
-
-    budgets = None
-    if experiment == "exp3":
-        if not isinstance(raw.get("budgets"), list) or not raw["budgets"]:
+def _cross_validate(config):
+    """The rules that span fields, on a config whose fields all passed."""
+    if (config.sources is None) == (config.generator is None):
+        return ["scene: exactly one of 'sources' or 'generator' is required"]
+    errs = []
+    if config.experiment == "exp1" and config.mv_sweep is None:
+        errs.append("grids.mv_sweep: required for exp1")
+    if config.experiment == "exp3":
+        if config.budgets is None:
             errs.append("budgets: required non-empty list for exp3")
         else:
-            budgets = [_check_int(errs, f"budgets[{i}]", b, minimum=1)
-                       for i, b in enumerate(raw["budgets"])]
-            if any(b is None for b in budgets):
-                budgets = None
-    elif "budgets" in raw:
-        budgets = [b for b in raw["budgets"] if isinstance(b, int)]
-
-    algorithms = raw.get("algorithms", list(ALGORITHMS))
-    if (not isinstance(algorithms, list) or not algorithms
-            or any(a not in ALGORITHMS for a in algorithms)):
-        errs.append(f"algorithms: must be a non-empty subset of {list(ALGORITHMS)}")
-        algorithms = list(ALGORITHMS)
-
-    solvers_raw = raw.get("solvers", {})
-    solvers = {}
-    if not isinstance(solvers_raw, dict):
-        errs.append("solvers: expected an object keyed by algorithm")
-    else:
-        for algo in algorithms:
-            spec = _validate_solver_spec(errs, f"solvers.{algo}", solvers_raw.get(algo, {}),
-                                         budgets if experiment == "exp3" else None)
-            if spec is not None:
-                solvers[algo] = spec
-
-    trials = _check_int(errs, "trials", raw.get("trials", 1), minimum=1)
-
-    allocation = raw.get("allocation")
-    if allocation is not None:
-        if not isinstance(allocation, list) or not allocation:
-            errs.append("allocation: expected a non-empty list of counts")
-            allocation = None
-        else:
-            counts = [_check_int(errs, f"allocation[{i}]", c, minimum=1)
-                      for i, c in enumerate(allocation)]
-            if ny is not None and all(c is not None for c in counts):
-                if any(c > ny - 1 for c in counts):
-                    errs.append(f"allocation: counts must be <= ny - 1 = {ny - 1}")
-
-    timing = dict(_TIMING_DEFAULTS)
-    if "timing" in raw:
-        if not isinstance(raw["timing"], dict):
-            errs.append("timing: expected an object")
-        else:
-            unknown = set(raw["timing"]) - set(_TIMING_DEFAULTS)
-            if unknown:
-                errs.append(f"timing: unknown keys {sorted(unknown)}")
-            timing.update({k: v for k, v in raw["timing"].items() if k in _TIMING_DEFAULTS})
-            _check_int(errs, "timing.repetitions", timing["repetitions"], minimum=1)
-            _check_int(errs, "timing.iterations", timing["iterations"], minimum=1)
-
-    success_rmse = raw.get("success_rmse", 0.05)
-    _check_number(errs, "success_rmse", success_rmse, minimum=0)
-
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        errs.append("output_dir: expected a string path")
-
-    if errs:
-        return None, errs
-
-    config = ExperimentConfig(
-        experiment=experiment, seed=seed, nx=nx, ny=ny,
-        snr_db=snr_db, num_snapshots=num_snapshots,
-        sources=sources, generator=generator,
-        mu=mu, mv=mv, mv_sweep=mv_sweep,
-        algorithms=list(algorithms), solvers=solvers,
-        allocation=allocation, trials=trials, budgets=budgets,
-        timing=timing, success_rmse=float(success_rmse),
-        output_dir=output_dir,
-    )
-    post_errs = _cross_validate(config)
-    if post_errs:
-        return None, post_errs
-    return config, []
-
-
-def _validate_sources(errs, raw):
-    if not isinstance(raw, list) or not raw:
-        errs.append("scene.sources: expected a non-empty list")
-        return None
-    out = []
-    for i, s in enumerate(raw):
-        if not isinstance(s, dict) or "u" not in s or "v" not in s:
-            errs.append(f"scene.sources[{i}]: expected an object with u and v")
-            continue
-        u = _check_number(errs, f"scene.sources[{i}].u", s["u"])
-        v = _check_number(errs, f"scene.sources[{i}].v", s["v"])
-        if u is None or v is None:
-            continue
+            errs.extend(f"solvers.{algo}.max_iters: below the largest budget {max(config.budgets)}"
+                        for algo, spec in config.solvers.items()
+                        if spec["max_iters"] < max(config.budgets))
+    for i, source in enumerate(config.sources or ()):
+        u, v = source["u"], source["v"]
         if abs(u) > 1 or abs(v) > 1:
             errs.append(f"scene.sources[{i}]: components must lie in [-1, 1]")
         elif u**2 + v**2 > 1.0 + 1e-12:
             errs.append(f"scene.sources[{i}]: u^2 + v^2 = {u**2 + v**2} exceeds 1")
-        else:
-            out.append((u, v))
-    return out if len(out) == len(raw) else None
-
-
-def _validate_generator(errs, raw):
-    if not isinstance(raw, dict):
-        errs.append("scene.generator: expected an object")
-        return None
-    kind = raw.get("kind")
-    if kind == "grid_product":
-        for key in ("u_indices", "v_indices"):
-            idx = raw.get(key)
-            if not isinstance(idx, list) or not idx or not all(
-                    isinstance(i, int) and i >= 0 for i in idx):
-                errs.append(f"scene.generator.{key}: expected a list of grid indices")
-        return dict(raw)
-    if kind == "random_on_grid":
-        _check_int(errs, "scene.generator.k", raw.get("k"), minimum=1)
-        _check_number(errs, "scene.generator.min_separation",
-                      raw.get("min_separation", 0.15), minimum=0)
-        out = dict(raw)
-        out.setdefault("min_separation", 0.15)
-        return out
-    errs.append(f"scene.generator.kind: must be 'grid_product' or 'random_on_grid', got {kind!r}")
-    return None
-
-
-def _cross_validate(config):
-    errs = []
     gen = config.generator
     if gen is not None and gen["kind"] == "grid_product":
         grid_u = uniform_grid(config.mu)
         grid_v = uniform_grid(config.mv)
-        for key, grid in (("u_indices", grid_u), ("v_indices", grid_v)):
-            for i in gen[key]:
-                if i >= grid.size:
-                    errs.append(f"scene.generator.{key}: index {i} outside the {grid.size}-point grid")
-        if not errs:
+        grid_errs = [f"scene.generator.{key}: index {i} outside the {grid.size}-point grid"
+                     for key, grid in (("u_indices", grid_u), ("v_indices", grid_v))
+                     for i in gen[key] if i >= grid.size]
+        if not grid_errs:
             for iu in gen["u_indices"]:
                 for iv in gen["v_indices"]:
                     u, v = grid_u.points[iu], grid_v.points[iv]
                     if u**2 + v**2 > 1.0:
-                        errs.append(
+                        grid_errs.append(
                             f"scene.generator: grid point ({u:.4f}, {v:.4f}) violates u^2 + v^2 <= 1")
+        errs.extend(grid_errs)
     if gen is not None and gen["kind"] == "random_on_grid" and gen["k"] > min(config.mu, config.mv):
         errs.append(f"scene.generator.k: must be <= min(mu, mv) = {min(config.mu, config.mv)}, "
                     f"got {gen['k']}")
-    if config.allocation is not None and sum(config.allocation) != config.k_sources():
-        errs.append(
-            f"allocation: counts sum to {sum(config.allocation)} but the scene has "
-            f"{config.k_sources()} sources")
+    if config.allocation is not None:
+        if any(c > config.ny - 1 for c in config.allocation):
+            errs.append(f"allocation: counts must be <= ny - 1 = {config.ny - 1}")
+        if sum(config.allocation) != config.k_sources():
+            errs.append(
+                f"allocation: counts sum to {sum(config.allocation)} but the scene has "
+                f"{config.k_sources()} sources")
     return errs
 
 
@@ -423,7 +366,7 @@ def scene_for_trial(config: ExperimentConfig, trial: int) -> Scene:
     via seed-sequence spawning, so trials are independent and order-free."""
     scene_seed = int(np.random.SeedSequence((config.seed, trial)).generate_state(1)[0])
     if config.sources is not None:
-        sources = [Source(u, v) for u, v in config.sources]
+        sources = [Source(s["u"], s["v"]) for s in config.sources]
     else:
         gen = config.generator
         grid_u = uniform_grid(config.mu)
@@ -460,7 +403,7 @@ def _draw_random_sources(k, min_sep, grid_u, grid_v, rng, max_tries=2000):
 
 
 def _params_for(config: ExperimentConfig, algo: str, overrides=None) -> solver.HMsblParams:
-    spec = dict(config.solvers.get(algo, _SOLVER_DEFAULTS))
+    spec = dict(config.solvers[algo])
     if overrides:
         spec.update(overrides)
     lam = spec["lambda_value"]
@@ -543,7 +486,7 @@ def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
             else:
                 kdict = kron_dictionary(pair, prune=True)
                 state, _, diag = msbl_run(y, kdict, params)
-                pairs = np.array(msbl_estimates(state, k))
+                pairs = np.array(msbl_estimates(state, kdict.column_labels, k))
                 provenance = None
             report = match_and_rmse(pairs, scene)
             entry = {
@@ -595,11 +538,9 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
 
             def observe(it, state, post):
                 try:
-                    idx = np.flatnonzero(state.active)
-                    order = idx[np.argsort(-state.gamma[idx], kind="stable")][:k]
-                    pts = kdict.column_labels[order]
-                    curve.append(match_and_rmse(pts, truth).rmse)
-                except (MatchCountError, ValueError):
+                    curve.append(match_and_rmse(msbl_estimates(state, kdict.column_labels, k),
+                                                truth).rmse)
+                except ValueError:  # fewer active columns than sources
                     curve.append(float("nan"))
             msbl_run(y, kdict, params, on_iteration=observe)
 

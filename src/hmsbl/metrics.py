@@ -1,8 +1,5 @@
-"""Estimation accuracy and wall-clock measurement helpers."""
+"""Estimation accuracy: optimal truth-to-estimate matching and its RMSE."""
 
-import itertools
-import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,19 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from .pairing import PairedEstimates
 from .signal_model import Scene
 
-__all__ = [
-    "MatchReport",
-    "MatchCountError",
-    "TrialSummary",
-    "TimingResult",
-    "match_and_rmse",
-    "aggregate_trials",
-    "timeit",
-]
-
-# beyond this many sources the exhaustive permutation search is replaced by
-# rectangular assignment
-_EXHAUSTIVE_LIMIT = 8
+__all__ = ["MatchReport", "MatchCountError", "match_and_rmse"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +24,10 @@ class MatchReport:
 
 
 class MatchCountError(ValueError):
-    """Estimate and truth counts differ.  ``partial_report`` carries a
-    greedy matching of the smaller set, flagged unmatched."""
+    """Estimate and truth counts differ.  ``partial_report`` carries the
+    exact matching of the smaller set into the larger, flagged unmatched:
+    its pairs, listed in truth order, have the least total squared error
+    of any one-to-one pairing."""
 
     def __init__(self, message: str, partial_report: MatchReport):
         super().__init__(message)
@@ -55,122 +42,26 @@ def _pairs_array(obj) -> np.ndarray:
     return np.asarray(obj, dtype=float).reshape(-1, 2)
 
 
-def _greedy_assignment(cost: np.ndarray):
-    """Repeatedly take the cheapest remaining (truth, estimate) pair."""
-    cost = cost.copy()
-    n_t, n_e = cost.shape
-    pairs = []
-    used_t, used_e = set(), set()
-    for _ in range(min(n_t, n_e)):
-        masked = cost.copy()
-        masked[list(used_t), :] = np.inf
-        masked[:, list(used_e)] = np.inf
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        pairs.append((int(i), int(j)))
-        used_t.add(int(i))
-        used_e.add(int(j))
-    return pairs
-
-
 def match_and_rmse(estimates, truth) -> MatchReport:
     """Optimally assign estimates to truth sources and report errors.
 
-    Exhaustive over permutations up to 8 sources, rectangular assignment
-    beyond.  Raises MatchCountError (with a greedy partial report) when the
-    two sets differ in size.
+    The assignment is scipy's ``linear_sum_assignment``, exact for square
+    and rectangular costs alike.  Raises MatchCountError (with the exact
+    partial report) when the two sets differ in size.
     """
     est = _pairs_array(estimates)
     tru = _pairs_array(truth)
     if tru.shape[0] == 0:
         raise ValueError("truth must contain at least one source")
-    diff = tru[:, None, :] - est[None, :, :]
-    cost = np.sum(diff**2, axis=2)
-
-    if est.shape[0] != tru.shape[0]:
-        pairs = _greedy_assignment(cost)
-        errs = tuple(float(cost[i, j]) for i, j in pairs)
-        partial = MatchReport(
-            assignment=tuple(j for _, j in pairs),
-            per_source_sq_err=errs,
-            rmse=float(np.sqrt(np.mean(errs))) if errs else float("nan"),
-            unmatched=True,
-        )
-        raise MatchCountError(
-            f"{est.shape[0]} estimates for {tru.shape[0]} truth sources", partial
-        )
-
-    k = tru.shape[0]
-    if k <= _EXHAUSTIVE_LIMIT:
-        rows = np.arange(k)
-        best = min(itertools.permutations(range(k)), key=lambda p: cost[rows, p].sum())
-        assignment = np.array(best)
-    else:
-        rows, cols = linear_sum_assignment(cost)
-        assignment = cols[np.argsort(rows)]
-
-    errs = cost[np.arange(k), assignment]
-    return MatchReport(
-        assignment=tuple(int(j) for j in assignment),
+    cost = np.sum((tru[:, None, :] - est[None, :, :]) ** 2, axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    errs = cost[rows, cols]
+    report = MatchReport(
+        assignment=tuple(int(j) for j in cols),
         per_source_sq_err=tuple(float(e) for e in errs),
-        rmse=float(np.sqrt(errs.mean())),
+        rmse=float(np.sqrt(errs.mean())) if errs.size else float("nan"),
+        unmatched=est.shape[0] != tru.shape[0],
     )
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    mean_rmse: float
-    std_rmse: float
-    success_rate: float
-    count: int
-
-
-def aggregate_trials(reports, success_rmse: float = 0.05) -> TrialSummary:
-    """Mean and population std of per-trial rmse, plus the fraction of
-    trials with rmse below ``success_rmse``."""
-    rmses = np.array([r.rmse for r in reports], dtype=float)
-    if rmses.size == 0:
-        raise ValueError("need at least one trial report")
-    return TrialSummary(
-        mean_rmse=float(rmses.mean()),
-        std_rmse=float(rmses.std()),
-        success_rate=float(np.mean(rmses < success_rmse)),
-        count=int(rmses.size),
-    )
-
-
-@dataclass(frozen=True)
-class TimingResult:
-    median_seconds: float
-    per_iteration_seconds: float
-    repetitions: int
-
-
-def _iterations_of(result):
-    if hasattr(result, "n_iters"):
-        return int(result.n_iters)
-    if isinstance(result, tuple):
-        for item in result:
-            if hasattr(item, "n_iters"):
-                return int(item.n_iters)
-    return None
-
-
-def timeit(fn, repetitions: int = 3) -> TimingResult:
-    """Median wall time of ``fn()`` over ``repetitions`` runs after one
-    discarded warm-up call.  When the result exposes an iteration count the
-    median is also divided down to per-iteration seconds; a zero-iteration
-    run reports that as None."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    fn()
-    times = []
-    iters = None
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-        iters = _iterations_of(out)
-    median = float(statistics.median(times))
-    per_iter = median / iters if iters else None
-    return TimingResult(median_seconds=median, per_iteration_seconds=per_iter,
-                        repetitions=repetitions)
+    if report.unmatched:
+        raise MatchCountError(f"{est.shape[0]} estimates for {tru.shape[0]} truth sources", report)
+    return report

@@ -7,54 +7,31 @@ gamma_p <- sigma_x,p + ||mu_p||^2 / L.  Per-iteration cost scales with the
 pruned column count mu * mv, which is exactly what the block solver avoids.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import solver
 from .dictionary import KronDictionary
 from .signal_model import SnapshotSet
 
-__all__ = ["MsblState", "msbl_run", "msbl_estimates"]
-
-
-@dataclass
-class MsblState:
-    """Per-column powers plus the (u, v) label of each column."""
-
-    gamma: np.ndarray
-    noise_var: float
-    active: np.ndarray
-    cost_trace: list = field(default_factory=list)
-    labels: np.ndarray = None
-
-    @property
-    def n_points(self) -> int:
-        return self.gamma.size
+__all__ = ["msbl_run", "msbl_estimates"]
 
 
 def msbl_run(y: SnapshotSet, dictionary: KronDictionary, params: solver.HMsblParams,
              on_iteration=None):
-    """EM on the flat dictionary.  Returns (MsblState, posterior mean,
-    diagnostics); the mean has one row per dictionary column."""
+    """EM on the flat dictionary.  Returns (solver state, posterior mean,
+    diagnostics); the state has one width-one block and the mean one row per
+    dictionary column."""
     state, post, diagnostics = solver.run(y, dictionary, params, on_iteration=on_iteration)
-    flat = MsblState(
-        gamma=state.gamma,
-        noise_var=state.noise_var,
-        active=state.active,
-        cost_trace=state.cost_trace,
-        labels=dictionary.column_labels,
-    )
-    return flat, post.mu, diagnostics
+    return state, post.mu, diagnostics
 
 
-def msbl_estimates(state: MsblState, k: int) -> list:
+def msbl_estimates(state: solver.HMsblState, column_labels: np.ndarray, k: int) -> list:
     """(u, v) labels of the k largest active powers, ties to the lower
-    column index."""
+    column index; ``column_labels`` holds one (u, v) row per column."""
     if k < 1:
         raise ValueError("k must be >= 1")
     idx = np.flatnonzero(state.active)
     if idx.size < k:
         raise ValueError(f"only {idx.size} active grid points for k = {k}")
     order = idx[np.argsort(-state.gamma[idx], kind="stable")][:k]
-    return [tuple(state.labels[i]) for i in order]
+    return [tuple(column_labels[i]) for i in order]

@@ -319,6 +319,8 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
     data_fro = float(np.linalg.norm(scm, "fro"))
     if data_fro == 0.0:
         raise DegenerateInputError("snapshot matrix carries no energy")
+    if op.n_blocks == 0:
+        raise DegenerateInputError("dictionary has no columns")
     gamma = np.full(op.n_blocks, data_fro / op.gram_fro())
     b0 = np.eye(op.block_size, dtype=complex) / math.sqrt(op.block_size)
     b_mats = np.broadcast_to(b0, (op.n_blocks, op.block_size, op.block_size)).copy()

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -156,11 +157,58 @@ def test_validate_rejects_unknown_timing_keys():
     assert errors == ["timing: unknown keys ['bogus']"]
 
 
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_STOCK_CONFIGS = ["configs/exp1.json", "configs/exp2.json", "configs/exp3.json",
+                  "perfbench/large_array.json"]
+
+
 def test_config_echo_revalidates():
-    config, _ = validate_config(_dumps(_base_config()))
-    again, errors = validate_config(json.dumps(config.to_dict()))
-    assert errors == []
-    assert again.to_dict() == config.to_dict()
+    texts = [_dumps(_base_config())]
+    for name in _STOCK_CONFIGS:
+        with open(os.path.join(_REPO, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    for text in texts:
+        config, errors = validate_config(text)
+        assert errors == []
+        again, errors = validate_config(json.dumps(config.to_dict()))
+        assert errors == []
+        assert again == config
+        assert json.dumps(again.to_dict()) == json.dumps(config.to_dict())
+
+
+def _with_generator(cfg, **generator):
+    cfg["scene"] = {"snr_db": 20, "num_snapshots": 40, "generator": generator}
+    return cfg
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda c: c.update(trails=40), "config: unknown keys ['trails']"),
+    (lambda c: c["array"].update(nz=4), "array: unknown keys ['nz']"),
+    (lambda c: c["scene"].update(noise="white"), "scene: unknown keys ['noise']"),
+    (lambda c: c["grids"].update(mw=9), "grids: unknown keys ['mw']"),
+    (lambda c: c["solvers"].update(hmsb1={}), "solvers: unknown keys ['hmsb1']"),
+    (lambda c: c["solvers"]["hmsbl"].update(tol=0.1), "solvers.hmsbl: unknown keys ['tol']"),
+    (lambda c: c["solvers"].update(msbl={"iters": 3}), "solvers.msbl: unknown keys ['iters']"),
+    (lambda c: c["scene"]["sources"][0].update(w=0.1), "scene.sources[0]: unknown keys ['w']"),
+    (lambda c: _with_generator(c, kind="random_on_grid", k=2, min_sep=0.3),
+     "scene.generator: unknown keys ['min_sep']"),
+    (lambda c: _with_generator(c, kind="grid_product", u_indices=[7], v_indices=[7], k=1),
+     "scene.generator: unknown keys ['k']"),
+])
+def test_validate_rejects_unknown_keys_at_every_level(edit, error):
+    cfg = _base_config()
+    edit(cfg)
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == [error]
+
+
+def test_config_error_survives_pickling():
+    err = ConfigError(["scene.generator: could not place 6 sources", "trials: must be >= 1"])
+    again = pickle.loads(pickle.dumps(err))
+    assert type(again) is ConfigError
+    assert again.errors == err.errors
+    assert str(again) == str(err)
 
 
 def test_load_config_raises_collected_errors(tmp_path):
@@ -430,6 +478,45 @@ def test_cli_validate_oversized_generator_one_line(tmp_path):
         assert r.stdout == ""
         assert r.stderr.splitlines() == [
             f"invalid config {p}: scene.generator.k: must be <= min(mu, mv) = 6, got 80"]
+
+
+def test_cli_validate_unknown_keys_exits_2(tmp_path):
+    cfg = _base_config(trails=40)
+    cfg["array"]["nz"] = 4
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(cfg))
+    r = _run_cli(["validate", str(p)])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [f"invalid config {p}: config: unknown keys ['trails']",
+                                     f"invalid config {p}: array: unknown keys ['nz']"]
+
+
+def _unplaceable_generator_config(**over):
+    # six sources cannot keep a 0.9 separation in u inside [-1, 1]
+    return _with_generator(_base_config(**over), kind="random_on_grid", k=6, min_separation=0.9)
+
+
+def test_cli_run_reports_worker_config_error_on_one_line(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(_unplaceable_generator_config(trials=2)))
+    r = subprocess.run([sys.executable, "-m", "hmsbl.cli", "run", str(p), "--out", str(tmp_path)],
+                       capture_output=True, text=True, env=dict(os.environ, HMSBL_WORKERS="2"))
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [
+        "error: scene.generator: could not place 6 sources with separation 0.9"]
+
+
+def test_cli_bench_reports_config_error_on_one_line(tmp_path):
+    cfg = _unplaceable_generator_config(experiment="exp1",
+                                        grids={"mu": 15, "mv": 15, "mv_sweep": [5, 10]})
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(cfg))
+    r = _run_cli(["bench", str(p), "--out", str(tmp_path)])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: scene.generator: could not place 6 sources with separation 0.9"]
 
 
 def test_cli_missing_file_exits_2():

@@ -1,15 +1,11 @@
-import time
+import json
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from hmsbl.metrics import (
-    MatchCountError,
-    MatchReport,
-    aggregate_trials,
-    match_and_rmse,
-    timeit,
-)
+from hmsbl.experiments import run_experiment, validate_config
+from hmsbl.metrics import MatchCountError, match_and_rmse
 from hmsbl.signal_model import Scene, Source
 
 
@@ -67,7 +63,7 @@ def test_match_count_mismatch_raises_with_partial():
 
 
 def test_match_large_k_uses_assignment_solver():
-    # 9 sources exercises the non-exhaustive path; verify against identity
+    # 9 sources, shuffled: the assignment undoes the shuffle
     rng = np.random.default_rng(1)
     truth = np.column_stack([np.linspace(-0.8, 0.8, 9), np.zeros(9)])
     est = truth + rng.normal(0, 1e-3, size=truth.shape)
@@ -76,19 +72,41 @@ def test_match_large_k_uses_assignment_solver():
     np.testing.assert_array_equal(np.array(perm)[list(rep.assignment)], np.arange(9))
 
 
+def _brute_force_sq_sum(truth, est):
+    """Least total squared error over every one-to-one pairing of the
+    smaller set into the larger."""
+    small, large = (truth, est) if len(truth) <= len(est) else (est, truth)
+    cost = np.sum((small[:, None, :] - large[None, :, :]) ** 2, axis=2)
+    picks = np.array(list(permutations(range(len(large)), len(small))))
+    return cost[np.arange(len(small)), picks].sum(axis=1).min()
+
+
 def test_exhaustive_and_hungarian_agree():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        truth = rng.uniform(-0.7, 0.7, size=(4, 2))
-        est = rng.uniform(-0.7, 0.7, size=(4, 2))
-        r = match_and_rmse(est, truth)
-        # brute force over all 24 permutations
-        from itertools import permutations
-        best = min(
-            np.sqrt(np.mean([np.sum((truth[i] - est[p[i]]) ** 2) for i in range(4)]))
-            for p in permutations(range(4))
-        )
-        assert r.rmse == pytest.approx(best, rel=1e-12)
+    for k in range(1, 8):
+        for _ in range(3):
+            truth = rng.uniform(-0.7, 0.7, size=(k, 2))
+            est = rng.uniform(-0.7, 0.7, size=(k, 2))
+            r = match_and_rmse(est, truth)
+            best = np.sqrt(_brute_force_sq_sum(truth, est) / k)
+            assert r.rmse == pytest.approx(best, rel=1e-12)
+            assert sorted(r.assignment) == list(range(k))
+
+
+@pytest.mark.parametrize("n_truth, n_est", [(3, 5), (5, 3), (1, 4), (4, 1), (2, 6), (6, 2)])
+def test_partial_report_is_the_best_injection(n_truth, n_est):
+    rng = np.random.default_rng(10 * n_truth + n_est)
+    for _ in range(5):
+        truth = rng.uniform(-0.7, 0.7, size=(n_truth, 2))
+        est = rng.uniform(-0.7, 0.7, size=(n_est, 2))
+        with pytest.raises(MatchCountError) as ei:
+            match_and_rmse(est, truth)
+        partial = ei.value.partial_report
+        n = min(n_truth, n_est)
+        assert partial.unmatched
+        assert len(partial.assignment) == len(partial.per_source_sq_err) == n
+        assert len(set(partial.assignment)) == n
+        assert partial.rmse == pytest.approx(np.sqrt(_brute_force_sq_sum(truth, est) / n), rel=1e-12)
 
 
 def test_match_empty_truth_rejected():
@@ -96,60 +114,37 @@ def test_match_empty_truth_rejected():
         match_and_rmse(np.zeros((1, 2)), np.zeros((0, 2)))
 
 
+def _record(trials):
+    cfg = {
+        "experiment": "custom", "seed": 5, "array": {"nx": 3, "ny": 3},
+        "scene": {"snr_db": 20, "num_snapshots": 40,
+                  "generator": {"kind": "random_on_grid", "k": 2, "min_separation": 0.3}},
+        "grids": {"mu": 15, "mv": 15}, "algorithms": ["hmsbl", "msbl"],
+        "solvers": {"hmsbl": {"max_iters": 30}, "msbl": {"max_iters": 30}},
+        "trials": trials, "success_rmse": 0.05,
+    }
+    config, errors = validate_config(json.dumps(cfg))
+    assert errors == []
+    return run_experiment(config)
+
+
 def test_aggregate_trials():
-    reports = [
-        MatchReport(assignment=(0,), per_source_sq_err=(e ** 2,), rmse=e)
-        for e in (0.01, 0.02, 0.09)
-    ]
-    s = aggregate_trials(reports, success_rmse=0.05)
-    assert s.count == 3
-    assert s.mean_rmse == pytest.approx(0.04)
-    assert s.std_rmse == pytest.approx(np.std([0.01, 0.02, 0.09]))  # population std
-    assert s.success_rate == pytest.approx(2 / 3)
+    record = _record(3)
+    for algo in ("hmsbl", "msbl"):
+        entries = [t["algorithms"][algo] for t in record.trials]
+        assert all("error" not in e for e in entries)
+        rmse = np.array([e["rmse"] for e in entries])
+        worst = np.array([e["max_source_err"] for e in entries])
+        assert record.aggregate[algo] == {
+            "mean_rmse": rmse.mean(),
+            "std_rmse": rmse.std(),  # population std
+            "success_rate": np.mean(rmse < 0.05),
+            "count": 3,
+            "all_sources_within_rate": np.mean(worst < 0.05),
+        }
 
 
 def test_aggregate_single_report_has_zero_std():
-    s = aggregate_trials([MatchReport(assignment=(0,), per_source_sq_err=(0.01,),
-                                      rmse=0.1)])
-    assert s.std_rmse == 0.0
-    assert s.count == 1
-
-
-def test_aggregate_empty_rejected():
-    with pytest.raises(ValueError):
-        aggregate_trials([])
-
-
-def test_timeit_medians_and_warmup():
-    calls = []
-
-    def fn():
-        calls.append(time.perf_counter())
-        time.sleep(0.004)
-        return None
-
-    t = timeit(fn, repetitions=3)
-    assert len(calls) == 4  # one discarded warm-up + 3 timed
-    assert t.repetitions == 3
-    assert t.median_seconds >= 0.004
-    assert t.per_iteration_seconds is None  # result carries no iteration count
-
-
-def test_timeit_per_iteration_from_diagnostics():
-    class FakeDiag:
-        n_iters = 10
-
-    t = timeit(lambda: FakeDiag(), repetitions=3)
-    assert t.per_iteration_seconds == pytest.approx(t.median_seconds / 10)
-
-    # tuple results are searched for an iteration-bearing item
-    t2 = timeit(lambda: ("state", FakeDiag()), repetitions=2)
-    assert t2.per_iteration_seconds == pytest.approx(t2.median_seconds / 10)
-
-
-def test_timeit_zero_iterations_gives_none():
-    class FakeDiag:
-        n_iters = 0
-
-    t = timeit(lambda: FakeDiag(), repetitions=2)
-    assert t.per_iteration_seconds is None
+    agg = _record(1).aggregate["hmsbl"]
+    assert agg["std_rmse"] == 0.0
+    assert agg["count"] == 1

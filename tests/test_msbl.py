@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hmsbl.dictionary import Grid1D, KronDictionary, dictionary_pair, kron_dictionary, uniform_grid
-from hmsbl.msbl import MsblState, msbl_estimates, msbl_run
+from hmsbl.msbl import msbl_estimates, msbl_run
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, synthesize_snapshots
-from hmsbl.solver import HMsblParams
+from hmsbl.solver import HMsblParams, HMsblState
 from oracles import msbl_gamma_star_scalar
 
 
@@ -43,28 +43,31 @@ def test_msbl_recovers_on_grid_sources():
     y = synthesize_snapshots(scene, cfg)
     kd = kron_dictionary(dictionary_pair(cfg, gu, gv))
     state, mu, diag = msbl_run(y, kd, HMsblParams(max_iters=150, lambda_value=0.01))
-    got = set(msbl_estimates(state, 2))
+    got = set(msbl_estimates(state, kd.column_labels, 2))
     assert got == set(truth)
     assert mu.shape[1] == y.n_snapshots
 
 
+def _flat_state(gamma, active):
+    return HMsblState(gamma=np.array(gamma), b_mats=np.ones((len(gamma), 1, 1), dtype=complex),
+                      noise_var=0.1, active=np.array(active))
+
+
+_LABELS = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
+
+
 def test_msbl_estimates_tie_breaks_to_lower_index():
-    labels = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
-    state = MsblState(gamma=np.array([1.0, 2.0, 2.0]), noise_var=0.1,
-                      active=np.ones(3, dtype=bool), cost_trace=[], labels=labels)
-    got = msbl_estimates(state, 2)
-    assert got == [(0.1, 0.0), (0.2, 0.0)]
+    state = _flat_state([1.0, 2.0, 2.0], [True, True, True])
+    assert msbl_estimates(state, _LABELS, 2) == [(0.1, 0.0), (0.2, 0.0)]
 
 
 def test_msbl_estimates_skips_inactive():
-    labels = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
-    state = MsblState(gamma=np.array([5.0, 1.0, 0.5]), noise_var=0.1,
-                      active=np.array([False, True, True]), cost_trace=[], labels=labels)
-    assert msbl_estimates(state, 2) == [(0.1, 0.0), (0.2, 0.0)]
+    state = _flat_state([5.0, 1.0, 0.5], [False, True, True])
+    assert msbl_estimates(state, _LABELS, 2) == [(0.1, 0.0), (0.2, 0.0)]
     with pytest.raises(ValueError):
-        msbl_estimates(state, 3)  # only two active points
+        msbl_estimates(state, _LABELS, 3)  # only two active points
     with pytest.raises(ValueError):
-        msbl_estimates(state, 0)
+        msbl_estimates(state, _LABELS, 0)
 
 
 def test_msbl_cost_monotone():
@@ -88,4 +91,4 @@ def test_msbl_runs_on_trivial_v_grid():
     scene = Scene(sources=(Source(*truth),), snr_db=25, num_snapshots=40, seed=4)
     y = synthesize_snapshots(scene, cfg)
     state, _, _ = msbl_run(y, kd, HMsblParams(max_iters=100, lambda_value=10 ** -2.5))
-    assert msbl_estimates(state, 1) == [truth]
+    assert msbl_estimates(state, kd.column_labels, 1) == [truth]
