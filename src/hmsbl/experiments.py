@@ -251,6 +251,10 @@ def _check_value(errs, value, at, path, kind, minimum):
         if not isinstance(value, list) or not value or any(v not in kind for v in value):
             errs.append(f"{at}: must be a non-empty subset of {kind}")
             return None
+        repeated = next((v for i, v in enumerate(value) if v in value[:i]), None)
+        if repeated is not None:
+            errs.append(f"{at}: repeated name {repeated!r}")
+            return None
         return list(value)
     if isinstance(kind, tuple):
         if value not in kind:
@@ -305,6 +309,9 @@ def _cross_validate(config):
     if (config.sources is None) == (config.generator is None):
         return ["scene: exactly one of 'sources' or 'generator' is required"]
     errs = []
+    if "hmsbl" in config.algorithms and config.ny < 2:
+        errs.append(f"array.ny: hmsbl needs ny >= 2 (it places at most ny - 1 sources "
+                    f"per u-bin), got {config.ny}")
     if config.experiment == "exp1" and config.mv_sweep is None:
         errs.append("grids.mv_sweep: required for exp1")
     if config.experiment == "exp3":
@@ -510,7 +517,9 @@ def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
 
 
 def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
-    """One exp3 trial: rmse after every EM iteration for each algorithm."""
+    """One exp3 trial: rmse after every EM iteration for each algorithm.
+    An algorithm with no estimate at any iteration also gets an entry in
+    the trial's ``errors``, naming the last failure."""
     scene = scene_for_trial(config, trial)
     ura = UraConfig(config.nx, config.ny)
     y = synthesize_snapshots(scene, ura)
@@ -520,17 +529,18 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
     k = scene.k
     horizon = max(config.budgets)
     truth = np.array([[s.u, s.v] for s in scene.sources])
-    curves = {}
+    curves, errors = {}, {}
     for algo in config.algorithms:
         params = _params_for(config, algo, overrides={"max_iters": horizon})
-        curve = []
+        curve, failures = [], []
 
         if algo == "hmsbl":
             def observe(it, state, post):
                 try:
                     est, _ = _estimate_hmsbl(state, grid_u, config, k)
                     curve.append(match_and_rmse(est, truth).rmse)
-                except (solver.SolverError, MatchCountError, ValueError):
+                except (solver.SolverError, MatchCountError, ValueError) as exc:
+                    failures.append(exc)
                     curve.append(float("nan"))
             solver.run(y, pair, params, on_iteration=observe)
         else:
@@ -540,14 +550,18 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
                 try:
                     curve.append(match_and_rmse(msbl_estimates(state, kdict.column_labels, k),
                                                 truth).rmse)
-                except ValueError:  # fewer active columns than sources
+                except ValueError as exc:  # fewer active columns than sources
+                    failures.append(exc)
                     curve.append(float("nan"))
             msbl_run(y, kdict, params, on_iteration=observe)
 
+        if len(failures) == len(curve):
+            errors[algo] = (f"no estimate at any of {len(curve)} iterations; last: "
+                            f"{type(failures[-1]).__name__}: {failures[-1]}")
         while len(curve) < horizon:  # early convergence holds the last value
             curve.append(curve[-1])
         curves[algo] = curve
-    return {
+    out = {
         "trial": trial,
         "scene": {"sources": truth.tolist(), "seed": scene.seed},
         "curves": curves,
@@ -556,6 +570,9 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
             for b in config.budgets
         },
     }
+    if errors:
+        out["errors"] = errors
+    return out
 
 
 def _worker_count() -> int:
@@ -733,6 +750,7 @@ def run_experiment(config: ExperimentConfig) -> "ResultRecord":
             for b in config.budgets
         }
         record.aggregate["horizon"] = horizon
+        _collect_errors(record)
         return record
 
     # exp2 and custom share the generic engine
@@ -767,10 +785,11 @@ def _scatter_rows(trial: dict):
 
 def _collect_errors(record):
     for t in record.trials:
-        for algo, entry in t.get("algorithms", {}).items():
-            if "error" in entry:
-                record.errors.append({"trial": t["trial"], "algorithm": algo,
-                                      "error": entry["error"]})
+        errors = {algo: entry["error"] for algo, entry in t.get("algorithms", {}).items()
+                  if "error" in entry}
+        errors.update(t.get("errors", {}))
+        for algo, error in errors.items():
+            record.errors.append({"trial": t["trial"], "algorithm": algo, "error": error})
 
 
 # ---------------------------------------------------------------------------

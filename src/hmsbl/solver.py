@@ -22,9 +22,11 @@ sample covariance S = Y Y^H / L and Gamma_i = gamma_i B_i, the posterior
 mean is mu_i = Gamma_i D_i^H R Y, so the second moment that the gamma and
 B updates consume is
 
-    Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i
+    M_i = Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i
 
-and, because D mu = Y - lam R Y, the noise update's data misfit is
+The M-step is Gamma_i <- M_i: gamma_i = ||M_i||_F and B_i = M_i / gamma_i,
+with no per-block inverse.  And, because D mu = Y - lam R Y, the noise
+update's data misfit is
 
     ||Y - D mu||_F^2 = lam^2 L tr(R S R).
 
@@ -81,7 +83,8 @@ class HMsblParams:
     relative threshold against the largest block power, or an absolute one
     with ``prune_mode="absolute"``; zero disables pruning.  ``compress``
     replaces Y by a rank-preserving square root of Y Y^H when snapshots
-    outnumber rows, leaving every 1/L average unchanged.
+    outnumber rows, leaving every 1/L average unchanged.  ``b_loading`` is
+    read only by ``update_gamma``; ``run``'s result does not depend on it.
     """
 
     max_iters: int = 200
@@ -399,63 +402,42 @@ def _moment_blocks(post: Posterior, n_blocks: int, block_size: int, n_snapshots:
     return _hermitize(post.sigma_blocks + outer)
 
 
-def _gamma_from_moments(moments, b_mats, active, b_loading) -> np.ndarray:
-    m = b_mats.shape[0]
-    b = b_mats.shape[1]
-    gamma = np.zeros(m)
-    if not active.any():
-        return gamma
-    if b == 1:
-        traces = moments[active, 0, 0].real / (b_mats[active, 0, 0].real + b_loading)
-    else:
-        loaded = b_mats[active] + b_loading * np.eye(b)
-        solved = np.linalg.solve(loaded, moments[active])
-        traces = np.einsum("mkk->m", solved).real / b
-    gamma[active] = np.maximum(traces, 0.0)
-    return gamma
-
-
 def update_gamma(post: Posterior, state: HMsblState, n_snapshots: int, b_loading: float = 1e-10) -> np.ndarray:
     """Block powers gamma_i = tr(B_i^-1 (Sigma_x^i + mu^i mu^iH / L)) / b.
 
     Consumes the previous iteration's B_i, diagonally loaded by
     ``b_loading`` before inversion.  Inactive blocks stay at zero.
+    ``run`` takes this step and ``update_b``'s together in closed form.
     """
     moments = _moment_blocks(post, state.n_blocks, state.block_size, n_snapshots)
-    return _gamma_from_moments(moments, state.b_mats, state.active, b_loading)
-
-
-def _b_from_moments(moments, gamma, active):
-    """B_i = (moment_i / gamma_i) scaled to unit Frobenius norm.
-
-    Returns the new matrices and the norms removed, so callers can push the
-    scale back into gamma and keep gamma_i B_i equal to the moment.
-    """
-    b_new = np.array(moments, copy=True)
-    m = moments.shape[0]
-    scales = np.ones(m)
-    ok = active & (gamma > 0)
-    if ok.any():
-        pre = moments[ok] / gamma[ok, None, None]
-        fro = np.sqrt(np.einsum("mab,mab->m", pre, pre.conj()).real)
-        if np.any(fro == 0):
-            raise SolverError("zero posterior moment on an active block")
-        b_new[ok] = pre / fro[:, None, None]
-        scales[ok] = fro
-    return b_new, scales, ok
+    act, b = state.active, state.block_size
+    gamma = np.zeros(state.n_blocks)
+    if b == 1:
+        traces = moments[act, 0, 0].real / (state.b_mats[act, 0, 0].real + b_loading)
+    else:
+        solved = np.linalg.solve(state.b_mats[act] + b_loading * np.eye(b), moments[act])
+        traces = np.einsum("mkk->m", solved).real / b
+    gamma[act] = np.maximum(traces, 0.0)
+    return gamma
 
 
 def update_b(post: Posterior, state: HMsblState, n_snapshots: int) -> np.ndarray:
-    """Unit-Frobenius correlation update B_i from the posterior moment.
+    """Unit-Frobenius correlation update B_i = (moment_i / gamma_i) scaled
+    to unit Frobenius norm.
 
     Uses the gamma values already placed in ``state`` by this iteration's
     gamma update.  Blocks that are inactive or have zero gamma keep their
-    previous correlation matrix.
+    previous correlation matrix.  Pushing the removed norm back into gamma
+    gives gamma_i B_i = moment_i, which is the step ``run`` takes.
     """
     moments = _moment_blocks(post, state.n_blocks, state.block_size, n_snapshots)
-    b_new, _, ok = _b_from_moments(moments, state.gamma, state.active)
+    ok = state.active & (state.gamma > 0)
+    pre = moments[ok] / state.gamma[ok, None, None]
+    fro = np.sqrt(np.einsum("mab,mab->m", pre, pre.conj()).real)
+    if np.any(fro == 0):
+        raise SolverError("zero posterior moment on an active block")
     out = state.b_mats.copy()
-    out[ok] = _hermitize(b_new[ok])
+    out[ok] = pre / fro[:, None, None]
     return out
 
 
@@ -538,11 +520,12 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     noise-variance re-estimation, pruning, until ``max_iters`` or the
     relative cost change falls below ``cost_tol``.
 
-    After the correlation update the removed Frobenius scale is pushed back
-    into gamma, keeping gamma_i B_i equal to the posterior moment block.
-    That preserves the exact EM maximizer, so the cost trace is
-    non-increasing while lambda is fixed and pruning is off, with B_i still
-    unit-norm and gamma_i carrying all block power.
+    The M-step sets gamma_i = ||M_i||_F and B_i = M_i / gamma_i for the
+    moment M_i, with no per-block inverse: ``update_gamma`` then
+    ``update_b`` with the removed Frobenius scale pushed back into gamma.
+    That Gamma_i <- M_i is the exact EM maximizer, so the cost trace is
+    non-increasing while lambda is fixed and pruning is off.  A block whose
+    moment has a non-positive trace leaves the active set.
 
     Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
     docstring): one Cholesky factorisation per iteration gives the cost of
@@ -575,17 +558,14 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             marginal = _marginal(op, state, scm)
         post = Posterior._conditioned(op, data, marginal)
         moments = _moments(op, marginal)
-        g_raw = _gamma_from_moments(moments, state.b_mats, state.active, params.b_loading)
-
-        dead = state.active & (g_raw <= 0)
-        if dead.any():
-            state.active = state.active & ~dead
-            if not state.active.any():
-                raise SolverError("all block powers collapsed to zero")
-
-        b_new, scales, ok = _b_from_moments(moments, g_raw, state.active)
-        state.b_mats[ok] = _hermitize(b_new[ok])
-        state.gamma = np.where(ok, g_raw * scales, 0.0)
+        alive = state.active & (np.einsum("mkk->m", moments).real > 0)
+        if not alive.any():
+            raise SolverError("all block powers collapsed to zero")
+        state.active = alive
+        flat = moments.reshape(state.n_blocks, -1).view(float)  # real and imaginary parts
+        fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
+        state.b_mats[alive] = moments[alive] / fro[alive, None, None]
+        state.gamma = np.where(alive, fro, 0.0)
 
         if params.lambda_mode == "adaptive":
             state.noise_var = update_lambda(data, post, state, op)

@@ -150,6 +150,44 @@ def test_validate_random_generator_fits_grid():
     assert validate_config(_dumps(cfg))[1] == []
 
 
+def test_validate_rejects_repeated_algorithm_names():
+    cfg = _base_config(algorithms=["hmsbl", "msbl", "hmsbl", "hmsbl"])
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == ["algorithms: repeated name 'hmsbl'"]
+
+
+def test_validate_rejects_hmsbl_on_one_row_array():
+    # H-MSBL places at most ny - 1 sources per u-bin; M-SBL has no such limit
+    cfg = _base_config(array={"nx": 3, "ny": 1})
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == ["array.ny: hmsbl needs ny >= 2 (it places at most ny - 1 sources "
+                      "per u-bin), got 1"]
+    cfg.update(algorithms=["msbl"], solvers={"msbl": {"max_iters": 30}})
+    assert validate_config(_dumps(cfg))[1] == []
+
+
+def test_exp3_records_an_algorithm_with_no_estimate_at_any_iteration():
+    # pruning to the strongest block at once leaves one ny = 2 block for two
+    # sources, so every H-MSBL allocation fails; M-SBL estimates once
+    cfg = _base_config(experiment="exp3", array={"nx": 3, "ny": 2}, budgets=[2, 5],
+                       algorithms=["hmsbl", "msbl"], trials=1,
+                       solvers={a: {"max_iters": 5, "prune_tol": 0.99} for a in ("hmsbl", "msbl")})
+    cfg["grids"] = {"mu": 12, "mv": 12}
+    cfg["scene"]["sources"] = [{"u": 0.3, "v": -0.4}, {"u": -0.5, "v": 0.2}]
+    config, errors = validate_config(_dumps(cfg))
+    assert errors == []
+    with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+        record = run_experiment(config)
+    curves = record.trials[0]["curves"]
+    assert np.isnan(curves["hmsbl"]).all() and not np.isnan(curves["msbl"]).all()
+    assert record.errors == [{
+        "trial": 0, "algorithm": "hmsbl",
+        "error": "no estimate at any of 5 iterations; last: SolverError: cannot allocate "
+                 "2 sources across 1 active blocks"}]
+
+
 def test_validate_rejects_unknown_timing_keys():
     cfg = _base_config(timing={"repetitions": 3, "bogus": 1})
     config, errors = validate_config(_dumps(cfg))
@@ -490,6 +528,14 @@ def test_cli_validate_unknown_keys_exits_2(tmp_path):
     assert r.stdout == ""
     assert r.stderr.splitlines() == [f"invalid config {p}: config: unknown keys ['trails']",
                                      f"invalid config {p}: array: unknown keys ['nz']"]
+
+
+def test_cli_validate_repeated_algorithm_exits_2(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(_base_config(algorithms=["hmsbl", "hmsbl"])))
+    r = _run_cli(["validate", str(p)])
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"invalid config {p}: algorithms: repeated name 'hmsbl'"]
 
 
 def _unplaceable_generator_config(**over):

@@ -560,6 +560,77 @@ def test_run_gamma_b_product_equals_moment():
     assert max(seen) < 1e-10
 
 
+def _recording_moments(monkeypatch, edit=None):
+    # wrap the moments run() consumes, optionally editing them first
+    seen = []
+    moments = solver._moments
+
+    def wrapped(op, marginal):
+        m = moments(op, marginal)
+        if edit is not None:
+            m = edit(m.copy())
+        seen.append(m.copy())
+        return m
+
+    monkeypatch.setattr(solver, "_moments", wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("nx, ny, flat", [(3, 2, False), (2, 4, False), (4, 1, False),
+                                          (3, 2, True)])
+def test_run_m_step_is_gamma_then_b_then_pushback(monkeypatch, nx, ny, flat):
+    # one iteration's (gamma, B) equals the public update_gamma -> update_b
+    # composition with the Frobenius scale pushed back into gamma, also once
+    # pruning has left a partial active set
+    rng = np.random.default_rng(29 + 10 * nx + ny)
+    y, pair = _random_instance(rng, nx=nx, ny=ny, mu=16, n_snap=20, k=2)
+    dictionary = kron_dictionary(pair, prune=True) if flat else pair
+    params = HMsblParams(max_iters=30, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=0.0)
+    moments = _recording_moments(monkeypatch)
+    states = [init_state(y, dictionary, params)]
+
+    def grab(it, state, post):
+        states.append(HMsblState(gamma=state.gamma.copy(), b_mats=state.b_mats.copy(),
+                                 noise_var=state.noise_var, active=state.active.copy()))
+
+    run(y, dictionary, params, on_iteration=grab)
+    assert len(moments) == params.max_iters
+    assert not all(s.active.all() for s in states[:-1])  # some start partially pruned
+    for prev, m, nxt in zip(states, moments, states[1:]):
+        post = Posterior(mu=np.zeros((m.shape[0] * m.shape[1], 1), dtype=complex), sigma_blocks=m)
+        g = update_gamma(post, prev, 1, params.b_loading)
+        mid = HMsblState(gamma=g, b_mats=prev.b_mats, noise_var=prev.noise_var,
+                         active=prev.active & (g > 0))
+        b_mats = update_b(post, mid, 1)
+        ok = mid.active
+        pushed = np.zeros_like(g)
+        pushed[ok] = g[ok] * np.linalg.norm(m[ok] / g[ok, None, None], axis=(1, 2))
+        assert not (nxt.active & ~ok).any()
+        want = np.where(nxt.active, pushed, 0.0)
+        assert np.max(np.abs(nxt.gamma - want)) <= 1e-12 * np.max(want)
+        assert np.max(np.abs(nxt.b_mats - b_mats)) <= 1e-12
+
+
+def test_run_drops_a_block_whose_moment_is_zero(monkeypatch):
+    rng = np.random.default_rng(30)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=6)
+
+    def zero_block_2(m):
+        m[2] = 0.0
+        return m
+
+    _recording_moments(monkeypatch, zero_block_2)
+    state, _, diag = run(y, pair, HMsblParams(max_iters=1, prune_tol=0.0, lambda_value=0.05))
+    assert diag.n_iters == 1 and np.isfinite(diag.cost_trace).all()
+    np.testing.assert_array_equal(state.active, [True, True, False, True, True, True])
+    assert state.gamma[2] == 0.0 and np.all(state.gamma[state.active] > 0)
+
+    monkeypatch.undo()
+    _recording_moments(monkeypatch, np.zeros_like)
+    with pytest.raises(SolverError, match="all block powers collapsed to zero"):
+        run(y, pair, HMsblParams(max_iters=1, prune_tol=0.0, lambda_value=0.05))
+
+
 def test_run_callback_iteration_numbers():
     rng = np.random.default_rng(20)
     y, pair = _random_instance(rng)
