@@ -18,7 +18,6 @@ from hmsbl import (
     kron_dictionary,
     match_and_rmse,
     msbl_estimates,
-    msbl_run,
     noise_power,
     run,
     select_peaks,
@@ -45,7 +44,7 @@ for mv in (25, 50, 100, 200):
     kd = kron_dictionary(pair, prune=True)
     # the solvers time their own iterations; the median leaves out set-up
     _, _, block = run(y, pair, bench)
-    _, _, flat = msbl_run(y, kd, bench)
+    _, _, flat = run(y, kd, bench)
     print(f"{mv:>5} {np.median(block.iter_seconds) * 1e3:>14.2f} "
           f"{np.median(flat.iter_seconds) * 1e3:>13.2f} {kd.size:>13}")
 
@@ -73,7 +72,7 @@ def watch_flat(it, state, post):
 long = HMsblParams(max_iters=horizon, prune_tol=1e-3, cost_tol=0.0,
                    lambda_value=lam, compress=True)
 run(y, pair, long, on_iteration=watch_block)
-msbl_run(y, kd, long, on_iteration=watch_flat)
+run(y, kd, long, on_iteration=watch_flat)
 
 print(f"{'iters':>6} {'block rmse':>12} {'flat rmse':>12}")
 for budget in (10, 25, 50, 100, 200, 400, 800, 1200):

@@ -59,7 +59,7 @@ from .solver import (
     update_gamma,
     update_lambda,
 )
-from .msbl import msbl_estimates, msbl_run
+from .msbl import msbl_estimates
 from .pairing import (
     PairedEstimates,
     PeakAllocation,
@@ -98,7 +98,7 @@ __all__ = [
     "init_state", "e_step", "update_gamma", "update_b", "update_lambda",
     "ml_cost", "prune", "compress_snapshots", "run",
     # flat baseline
-    "msbl_run", "msbl_estimates",
+    "msbl_estimates",
     # v extraction
     "PeakSelection", "PeakAllocation", "RootMusicEstimate", "PairedEstimates",
     "select_peaks", "root_music_v", "pair_estimates",

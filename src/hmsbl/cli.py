@@ -22,17 +22,13 @@ from .solver import DegenerateInputError, SolverError
 
 def _load_or_exit(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+        return experiments.load_config(path)
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    config, errors = experiments.validate_config(text)
-    if config is None:
-        for err in errors:
+    except experiments.ConfigError as exc:
+        for err in exc.errors:
             print(f"invalid config {path}: {err}", file=sys.stderr)
-        raise SystemExit(2)
-    return config
+    raise SystemExit(2)
 
 
 def _cmd_validate(args):
@@ -80,7 +76,7 @@ def _cmd_bench(args):
 def _cmd_emit_plots(args):
     try:
         record = experiments.ResultRecord.load(args.record)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: cannot load record {args.record}: {exc}", file=sys.stderr)
         return 2
     try:

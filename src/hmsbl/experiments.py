@@ -32,7 +32,7 @@ from . import solver
 from ._version import __version__
 from .dictionary import Grid1D, uniform_grid, dictionary_pair, kron_dictionary
 from .metrics import MatchCountError, match_and_rmse
-from .msbl import msbl_estimates, msbl_run
+from .msbl import msbl_estimates
 from .pairing import PeakAllocation, pair_estimates, select_peaks
 from .signal_model import Scene, Source, UraConfig, noise_power, synthesize_snapshots
 
@@ -431,8 +431,7 @@ def _params_for(config: ExperimentConfig, algo: str, overrides=None) -> solver.H
 def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int) -> PeakAllocation:
     """Allocation of v counts to blocks.  Explicit config counts go to the
     strongest peaks in order; otherwise one source per peak, falling back to
-    cycling extra counts onto the strongest active blocks."""
-    ny = state.block_size
+    spreading the counts evenly over the strongest active blocks."""
     masked = np.where(state.active, state.gamma, 0.0)
     if config.allocation is not None:
         sel = select_peaks(masked, grid_u, len(config.allocation))
@@ -441,125 +440,110 @@ def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int) -
     idx = [i for i in sel.indices if state.active[i] and state.gamma[i] > 0]
     if len(idx) >= k:
         return PeakAllocation(tuple((i, 1) for i in idx[:k]))
-    # fewer usable peaks than sources: stack counts onto the strongest blocks
+    # fewer usable peaks than sources: spread the counts evenly over the
+    # active blocks, stronger ones first; a block holds at most ny - 1
     order = sorted(np.flatnonzero(state.active), key=lambda i: -state.gamma[i])
-    counts = {}
-    remaining = k
-    while remaining > 0:
-        progressed = False
-        for i in order:
-            if remaining == 0:
-                break
-            if counts.get(i, 0) < ny - 1:
-                counts[i] = counts.get(i, 0) + 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise solver.SolverError(
-                f"cannot allocate {k} sources across {len(order)} active blocks")
-    return PeakAllocation(tuple(counts.items()))
+    n = len(order)
+    if k > n * (state.block_size - 1):
+        raise solver.SolverError(f"cannot allocate {k} sources across {n} active blocks")
+    return PeakAllocation(tuple((order[j], k // n + (j < k % n)) for j in range(min(n, k))))
 
 
-def _estimate_hmsbl(state, grid_u, config, k):
-    alloc = _hmsbl_allocation(state, grid_u, config, k)
-    est = pair_estimates(state, grid_u, alloc)
-    return est, [asdict(p) for p in est.provenance]
+def _algorithm(config: ExperimentConfig, algo: str, pair, k: int):
+    """(dictionary, estimate) of one algorithm: the dictionary its EM runs
+    on, and ``estimate(state) -> (pairs, provenance)``, which reads the k
+    (u, v) estimates off a state of that EM as an array plus the block
+    solver's rooting provenance (None for the flat baseline).  This is the
+    only place that knows how the algorithms differ."""
+    if algo == "hmsbl":
+        def estimate(state):
+            est = pair_estimates(state, pair.grid_u, _hmsbl_allocation(state, pair.grid_u, config, k))
+            return est.as_array(), [asdict(p) for p in est.provenance]
+        return pair, estimate
+    kdict = kron_dictionary(pair, prune=True)
+    return kdict, lambda state: (np.array(msbl_estimates(state, kdict.column_labels, k)), None)
 
 
 # ---------------------------------------------------------------------------
 # trial engines
 
+# what one algorithm's failure on one trial raises; the trial records it
+# and the experiment goes on
+_TRIAL_ERRORS = (solver.SolverError, MatchCountError, ValueError)
 
-def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
+
+def _trial_inputs(config: ExperimentConfig, trial: int):
+    """(scene, snapshots, dictionary pair) of one trial."""
     scene = scene_for_trial(config, trial)
     ura = UraConfig(config.nx, config.ny)
     y = synthesize_snapshots(scene, ura)
-    grid_u = uniform_grid(config.mu)
-    grid_v = uniform_grid(config.mv)
-    pair = dictionary_pair(ura, grid_u, grid_v)
-    k = scene.k
+    return scene, y, dictionary_pair(ura, uniform_grid(config.mu), uniform_grid(config.mv))
+
+
+def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
+    scene, y, pair = _trial_inputs(config, trial)
     out = {
         "trial": trial,
         "scene": {"sources": [[s.u, s.v] for s in scene.sources], "seed": scene.seed},
         "algorithms": {},
     }
     for algo in config.algorithms:
-        params = _params_for(config, algo)
         try:
-            if algo == "hmsbl":
-                state, _, diag = solver.run(y, pair, params)
-                est, provenance = _estimate_hmsbl(state, grid_u, config, k)
-                pairs = est.as_array()
-            else:
-                kdict = kron_dictionary(pair, prune=True)
-                state, _, diag = msbl_run(y, kdict, params)
-                pairs = np.array(msbl_estimates(state, kdict.column_labels, k))
-                provenance = None
+            dictionary, estimate = _algorithm(config, algo, pair, scene.k)
+            state, _, diag = solver.run(y, dictionary, _params_for(config, algo))
+            pairs, provenance = estimate(state)
             report = match_and_rmse(pairs, scene)
-            entry = {
-                "estimates": pairs.tolist(),
-                "rmse": report.rmse,
-                "per_source_err": [float(np.sqrt(e)) for e in report.per_source_sq_err],
-                "max_source_err": float(np.sqrt(max(report.per_source_sq_err))),
-                "assignment": list(report.assignment),
-                "n_iters": diag.n_iters,
-                "converged": diag.converged,
-                "final_cost": diag.cost_trace[-1],
-                "active_count": int(state.active.sum()),
-                "seconds": float(sum(diag.iter_seconds)),
-            }
-            if provenance is not None:
-                entry["provenance"] = provenance
-            out["algorithms"][algo] = entry
-        except (solver.SolverError, MatchCountError, ValueError) as exc:
+        except _TRIAL_ERRORS as exc:
             out["algorithms"][algo] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        entry = {
+            "estimates": pairs.tolist(),
+            "rmse": report.rmse,
+            "per_source_err": [float(np.sqrt(e)) for e in report.per_source_sq_err],
+            "max_source_err": float(np.sqrt(max(report.per_source_sq_err))),
+            "assignment": list(report.assignment),
+            "n_iters": diag.n_iters,
+            "converged": diag.converged,
+            "final_cost": diag.cost_trace[-1],
+            "active_count": int(state.active.sum()),
+            "seconds": float(sum(diag.iter_seconds)),
+        }
+        if provenance is not None:
+            entry["provenance"] = provenance
+        out["algorithms"][algo] = entry
     return out
 
 
 def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
     """One exp3 trial: rmse after every EM iteration for each algorithm.
-    An algorithm with no estimate at any iteration also gets an entry in
-    the trial's ``errors``, naming the last failure."""
-    scene = scene_for_trial(config, trial)
-    ura = UraConfig(config.nx, config.ny)
-    y = synthesize_snapshots(scene, ura)
-    grid_u = uniform_grid(config.mu)
-    grid_v = uniform_grid(config.mv)
-    pair = dictionary_pair(ura, grid_u, grid_v)
-    k = scene.k
+    An algorithm whose solve fails keeps the values of the iterations that
+    ran, is NaN after them and gets an entry in the trial's ``errors``; so
+    does one with no estimate at any iteration, naming the last failure."""
+    scene, y, pair = _trial_inputs(config, trial)
     horizon = max(config.budgets)
     truth = np.array([[s.u, s.v] for s in scene.sources])
     curves, errors = {}, {}
     for algo in config.algorithms:
         params = _params_for(config, algo, overrides={"max_iters": horizon})
         curve, failures = [], []
+        try:
+            dictionary, estimate = _algorithm(config, algo, pair, scene.k)
 
-        if algo == "hmsbl":
             def observe(it, state, post):
                 try:
-                    est, _ = _estimate_hmsbl(state, grid_u, config, k)
-                    curve.append(match_and_rmse(est, truth).rmse)
-                except (solver.SolverError, MatchCountError, ValueError) as exc:
+                    curve.append(match_and_rmse(estimate(state)[0], truth).rmse)
+                except _TRIAL_ERRORS as exc:
                     failures.append(exc)
                     curve.append(float("nan"))
-            solver.run(y, pair, params, on_iteration=observe)
+            solver.run(y, dictionary, params, on_iteration=observe)
+        except _TRIAL_ERRORS as exc:
+            errors[algo] = f"{type(exc).__name__}: {exc}"
+            curve += [float("nan")] * (horizon - len(curve))
         else:
-            kdict = kron_dictionary(pair, prune=True)
-
-            def observe(it, state, post):
-                try:
-                    curve.append(match_and_rmse(msbl_estimates(state, kdict.column_labels, k),
-                                                truth).rmse)
-                except ValueError as exc:  # fewer active columns than sources
-                    failures.append(exc)
-                    curve.append(float("nan"))
-            msbl_run(y, kdict, params, on_iteration=observe)
-
-        if len(failures) == len(curve):
-            errors[algo] = (f"no estimate at any of {len(curve)} iterations; last: "
-                            f"{type(failures[-1]).__name__}: {failures[-1]}")
-        while len(curve) < horizon:  # early convergence holds the last value
-            curve.append(curve[-1])
+            if len(failures) == len(curve):
+                errors[algo] = (f"no estimate at any of {len(curve)} iterations; last: "
+                                f"{type(failures[-1]).__name__}: {failures[-1]}")
+            curve += curve[-1:] * (horizon - len(curve))  # early convergence holds the last value
         curves[algo] = curve
     out = {
         "trial": trial,
@@ -686,12 +670,9 @@ def run_bench(config: ExperimentConfig):
     for mv in sweep:
         pair = dictionary_pair(ura, grid_u, uniform_grid(mv))
         for algo in config.algorithms:
+            dictionary, _ = _algorithm(config, algo, pair, scene.k)
             params = _params_for(config, algo, overrides=overrides)
-            if algo == "hmsbl":
-                runs[algo].append(functools.partial(solver.run, y, pair, params))
-            else:
-                kdict = kron_dictionary(pair, prune=True)
-                runs[algo].append(functools.partial(msbl_run, y, kdict, params))
+            runs[algo].append(functools.partial(solver.run, y, dictionary, params))
 
     timed = {algo: _time_rounds(fns, config.timing["repetitions"]) for algo, fns in runs.items()}
     seconds = {algo: np.median(walls, axis=(0, 2)) for algo, (walls, _) in timed.items()}
@@ -739,12 +720,11 @@ def run_experiment(config: ExperimentConfig) -> "ResultRecord":
         record.trials = _map_trials(_budget_curve_trial, config)
         horizon = max(config.budgets)
         for algo in config.algorithms:
-            stack = np.array([t["curves"][algo] for t in record.trials])
-            mean_curve = np.nanmean(stack, axis=0)
+            mean_curve = _mean_over_trials([t["curves"][algo] for t in record.trials])
             record.convergence[algo] = [[i + 1, float(r)] for i, r in enumerate(mean_curve)]
         record.aggregate["budgets"] = {
             str(b): {
-                algo: float(np.nanmean([t["at_budgets"][str(b)][algo] for t in record.trials]))
+                algo: float(_mean_over_trials([t["at_budgets"][str(b)][algo] for t in record.trials]))
                 for algo in config.algorithms
             }
             for b in config.budgets
@@ -772,6 +752,14 @@ def run_experiment(config: ExperimentConfig) -> "ResultRecord":
             record.aggregate[algo] = {"count": 0}
     _collect_errors(record)
     return record
+
+
+def _mean_over_trials(values):
+    """``np.nanmean`` over the first axis, but NaN without a warning where
+    every trial is NaN: the record's ``errors`` already says why."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.nansum(values, axis=0) / np.sum(~np.isnan(values), axis=0)
 
 
 def _scatter_rows(trial: dict):

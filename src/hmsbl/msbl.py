@@ -5,24 +5,15 @@ column its own block of width one, so the correlation update collapses to
 the scalar 1 and the power update becomes the classic
 gamma_p <- sigma_x,p + ||mu_p||^2 / L.  Per-iteration cost scales with the
 pruned column count mu * mv, which is exactly what the block solver avoids.
+The baseline is ``solver.run`` on a ``KronDictionary``; this module reads
+its (u, v) estimates off the resulting state.
 """
 
 import numpy as np
 
 from . import solver
-from .dictionary import KronDictionary
-from .signal_model import SnapshotSet
 
-__all__ = ["msbl_run", "msbl_estimates"]
-
-
-def msbl_run(y: SnapshotSet, dictionary: KronDictionary, params: solver.HMsblParams,
-             on_iteration=None):
-    """EM on the flat dictionary.  Returns (solver state, posterior mean,
-    diagnostics); the state has one width-one block and the mean one row per
-    dictionary column."""
-    state, post, diagnostics = solver.run(y, dictionary, params, on_iteration=on_iteration)
-    return state, post.mu, diagnostics
+__all__ = ["msbl_estimates"]
 
 
 def msbl_estimates(state: solver.HMsblState, column_labels: np.ndarray, k: int) -> list:

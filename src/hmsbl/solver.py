@@ -365,7 +365,8 @@ def _marginal(op, state: HMsblState, scm: np.ndarray) -> _Marginal:
     sy[idx, idx] += state.noise_var
     try:
         cho = cho_factor(sy, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - requires lam <= 0
+    except np.linalg.LinAlgError as exc:  # lam <= 0, or far below the signal power
+        # (snr_db 300 gives lam = 1e-30), leaves Sigma_y numerically indefinite
         raise SolverError(f"marginal covariance not positive definite: {exc}") from exc
     rinv = cho_solve(cho, np.eye(op.n_rows, dtype=complex))
     rs = rinv @ scm

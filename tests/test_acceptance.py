@@ -21,7 +21,6 @@ from hmsbl.dictionary import (
 )
 from hmsbl.experiments import load_config, run_bench, run_experiment
 from hmsbl.metrics import match_and_rmse
-from hmsbl.msbl import msbl_run
 from hmsbl.pairing import root_music_v
 from hmsbl.signal_model import (
     Scene,
@@ -145,7 +144,7 @@ def test_criterion_03_em_cost_monotone():
             lam = noise_power(scene.snr_db)
             params = HMsblParams(max_iters=200, prune_tol=0.0, cost_tol=0.0,
                                  lambda_value=lam, compress=True)
-            for label, (fn, d) in {"block": (run, pair), "flat": (msbl_run, kd)}.items():
+            for label, (fn, d) in {"block": (run, pair), "flat": (run, kd)}.items():
                 _, _, diag = fn(y, d, params)
                 c = np.array(diag.cost_trace)
                 assert len(c) == 201

@@ -4,14 +4,17 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hmsbl.dictionary import uniform_grid
 from hmsbl.experiments import (
     ConfigError,
     ResultRecord,
+    _hmsbl_allocation,
     _paired_minima,
     _relative_spread,
     _time_rounds,
@@ -23,6 +26,7 @@ from hmsbl.experiments import (
     scene_for_trial,
     validate_config,
 )
+from hmsbl.solver import SolverError
 
 
 def _base_config(**over):
@@ -178,14 +182,67 @@ def test_exp3_records_an_algorithm_with_no_estimate_at_any_iteration():
     cfg["scene"]["sources"] = [{"u": 0.3, "v": -0.4}, {"u": -0.5, "v": 0.2}]
     config, errors = validate_config(_dumps(cfg))
     assert errors == []
-    with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the all-NaN means read NaN without a warning
         record = run_experiment(config)
     curves = record.trials[0]["curves"]
     assert np.isnan(curves["hmsbl"]).all() and not np.isnan(curves["msbl"]).all()
+    assert np.isnan(record.aggregate["budgets"]["5"]["hmsbl"])
+    assert all(np.isnan(rmse) for _, rmse in record.convergence["hmsbl"])
     assert record.errors == [{
         "trial": 0, "algorithm": "hmsbl",
         "error": "no estimate at any of 5 iterations; last: SolverError: cannot allocate "
                  "2 sources across 1 active blocks"}]
+
+
+def _snr_300_exp3_config():
+    # lam = 1e-30 is below the signal power's rounding error, so Sigma_y
+    # stops being numerically positive definite after some iterations
+    with open(os.path.join(_REPO, "configs/exp3.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg.update(trials=1, grids={"mu": 16, "mv": 16}, budgets=[10, 50])
+    cfg["scene"]["snr_db"] = 300
+    for spec in cfg["solvers"].values():
+        spec["max_iters"] = 50
+    return cfg
+
+
+def test_exp3_records_a_failed_solve_and_keeps_its_curve():
+    config, errors = validate_config(_dumps(_snr_300_exp3_config()))
+    assert errors == []
+    record = run_experiment(config)
+    trial = record.trials[0]
+    assert sorted(trial["errors"]) == ["hmsbl", "msbl"]
+    assert [e["algorithm"] for e in record.errors] == ["hmsbl", "msbl"]
+    assert all(e["error"].startswith("SolverError: ") for e in record.errors)
+    for algo in ("hmsbl", "msbl"):
+        curve = np.array(trial["curves"][algo])
+        ran = np.flatnonzero(~np.isnan(curve))
+        # the iterations that ran keep their values; NaN from the failure on
+        assert len(curve) == 50 and 10 <= len(ran) < 50
+        assert np.array_equal(ran, np.arange(len(ran)))
+        assert np.isfinite(record.aggregate["budgets"]["10"][algo])
+        assert np.isnan(record.aggregate["budgets"]["50"][algo])
+
+
+def test_hmsbl_allocation_stacks_counts_on_the_strongest_blocks():
+    # masked powers [1, 3, 0, 2, 0, 0] have two usable peaks, so more
+    # sources than that spread over the active blocks 1, 3, 0 (descending
+    # gamma), at most ny - 1 = 3 each
+    state = SimpleNamespace(gamma=np.array([1.0, 3.0, 5.0, 2.0, 0.5, 0.1]),
+                            active=np.array([True, True, False, True, False, False]),
+                            block_size=4)
+    grid = uniform_grid(6)
+    config = SimpleNamespace(allocation=None)
+
+    def counts(k):
+        return list(_hmsbl_allocation(state, grid, config, k).entries)
+    assert counts(2) == [(1, 1), (3, 1)]
+    assert counts(4) == [(1, 2), (3, 1), (0, 1)]
+    assert counts(5) == [(1, 2), (3, 2), (0, 1)]
+    assert counts(9) == [(1, 3), (3, 3), (0, 3)]
+    with pytest.raises(SolverError, match="cannot allocate 10 sources across 3 active blocks"):
+        counts(10)
 
 
 def test_validate_rejects_unknown_timing_keys():
@@ -563,6 +620,26 @@ def test_cli_bench_reports_config_error_on_one_line(tmp_path):
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
         "error: scene.generator: could not place 6 sources with separation 0.9"]
+
+
+def test_cli_run_completes_when_a_solve_fails(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(_snr_300_exp3_config()))
+    r = _run_cli(["run", str(p), "--out", str(tmp_path)])
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines() == ["2 trial(s) failed; see record.json errors[]"]
+    assert len(json.loads((tmp_path / "record.json").read_text())["errors"]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "emit-plots"])
+def test_cli_undecodable_file_exits_2_on_one_line(tmp_path, command):
+    p = tmp_path / "c.json"
+    p.write_bytes(b'{"seed": "\xff"}')
+    r = _run_cli([command, str(p)])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    [line] = r.stderr.splitlines()
+    assert line.startswith("error: cannot ") and str(p) in line and "decode" in line
 
 
 def test_cli_missing_file_exits_2():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hmsbl.dictionary import Grid1D, KronDictionary, dictionary_pair, kron_dictionary, uniform_grid
-from hmsbl.msbl import msbl_estimates, msbl_run
+from hmsbl.msbl import msbl_estimates
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, synthesize_snapshots
-from hmsbl.solver import HMsblParams, HMsblState
+from hmsbl.solver import HMsblParams, HMsblState, run
 from oracles import msbl_gamma_star_scalar
 
 
@@ -26,7 +26,7 @@ def test_single_column_fixed_point_matches_scalar_ml():
     closed = max(0.0, q / nd2 ** 2 - lam / nd2)
 
     params = HMsblParams(max_iters=2000, prune_tol=0.0, cost_tol=0.0, lambda_value=lam)
-    state, _, _ = msbl_run(y, kd, params)
+    state, _, _ = run(y, kd, params)
     assert state.gamma[0] == pytest.approx(closed, rel=1e-6)
 
     # and the closed form is itself the grid-search minimizer
@@ -42,10 +42,10 @@ def test_msbl_recovers_on_grid_sources():
                   snr_db=20, num_snapshots=60, seed=2)
     y = synthesize_snapshots(scene, cfg)
     kd = kron_dictionary(dictionary_pair(cfg, gu, gv))
-    state, mu, diag = msbl_run(y, kd, HMsblParams(max_iters=150, lambda_value=0.01))
+    state, post, diag = run(y, kd, HMsblParams(max_iters=150, lambda_value=0.01))
     got = set(msbl_estimates(state, kd.column_labels, 2))
     assert got == set(truth)
-    assert mu.shape[1] == y.n_snapshots
+    assert post.mu.shape[1] == y.n_snapshots
 
 
 def _flat_state(gamma, active):
@@ -75,8 +75,8 @@ def test_msbl_cost_monotone():
     scene = Scene(sources=(Source(0.3, -0.2),), snr_db=15, num_snapshots=20, seed=7)
     y = synthesize_snapshots(scene, cfg)
     kd = kron_dictionary(dictionary_pair(cfg, uniform_grid(12), uniform_grid(12)))
-    _, _, diag = msbl_run(y, kd, HMsblParams(max_iters=80, prune_tol=0.0, cost_tol=0.0,
-                                             lambda_value=10 ** -1.5))
+    _, _, diag = run(y, kd, HMsblParams(max_iters=80, prune_tol=0.0, cost_tol=0.0,
+                                        lambda_value=10 ** -1.5))
     c = np.array(diag.cost_trace)
     assert np.all(np.diff(c) <= 1e-8 * np.maximum(1.0, np.abs(c[:-1])))
 
@@ -90,5 +90,5 @@ def test_msbl_runs_on_trivial_v_grid():
     truth = (gu.points[2], 0.0)
     scene = Scene(sources=(Source(*truth),), snr_db=25, num_snapshots=40, seed=4)
     y = synthesize_snapshots(scene, cfg)
-    state, _, _ = msbl_run(y, kd, HMsblParams(max_iters=100, lambda_value=10 ** -2.5))
+    state, _, _ = run(y, kd, HMsblParams(max_iters=100, lambda_value=10 ** -2.5))
     assert msbl_estimates(state, kd.column_labels, 1) == [truth]
