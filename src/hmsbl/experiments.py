@@ -453,12 +453,12 @@ def _algorithm(config: ExperimentConfig, algo: str, pair, k: int):
     """(dictionary, estimate) of one algorithm: the dictionary its EM runs
     on, and ``estimate(state) -> (pairs, provenance)``, which reads the k
     (u, v) estimates off a state of that EM as an array plus the block
-    solver's rooting provenance (None for the flat baseline).  This is the
-    only place that knows how the algorithms differ."""
+    solver's rooting provenance objects (None for the flat baseline).  This
+    is the only place that knows how the algorithms differ."""
     if algo == "hmsbl":
         def estimate(state):
             est = pair_estimates(state, pair.grid_u, _hmsbl_allocation(state, pair.grid_u, config, k))
-            return est.as_array(), [asdict(p) for p in est.provenance]
+            return est.as_array(), est.provenance
         return pair, estimate
     kdict = kron_dictionary(pair, prune=True)
     return kdict, lambda state: (np.array(msbl_estimates(state, kdict.column_labels, k)), None)
@@ -509,7 +509,7 @@ def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
             "seconds": float(sum(diag.iter_seconds)),
         }
         if provenance is not None:
-            entry["provenance"] = provenance
+            entry["provenance"] = [asdict(p) for p in provenance]
         out["algorithms"][algo] = entry
     return out
 

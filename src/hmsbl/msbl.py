@@ -24,5 +24,9 @@ def msbl_estimates(state: solver.HMsblState, column_labels: np.ndarray, k: int) 
     idx = np.flatnonzero(state.active)
     if idx.size < k:
         raise ValueError(f"only {idx.size} active grid points for k = {k}")
-    order = idx[np.argsort(-state.gamma[idx], kind="stable")][:k]
+    neg = -state.gamma[idx]
+    if k < idx.size:  # sort only the powers at or above the k-th largest, ties included
+        top = neg <= np.partition(neg, k - 1)[k - 1]
+        idx, neg = idx[top], neg[top]
+    order = idx[np.argsort(neg, kind="stable")][:k]
     return [tuple(column_labels[i]) for i in order]

@@ -30,19 +30,27 @@ update's data misfit is
 
     ||Y - D mu||_F^2 = lam^2 L tr(R S R).
 
-One Cholesky factorisation of Sigma_y per iteration gives log det Sigma_y
-and R; R S R, the cost log det Sigma_y + tr(R S), the moments and the
-misfit follow by GEMMs, so per-iteration cost never depends on the number
-of snapshots or on any v-grid size.  ``mu`` and ``sigma_blocks`` of the
-posterior that ``run`` reports are computed only when first read.
+One Cholesky factorisation of Sigma_y per iteration (LAPACK ``zpotrf``,
+then ``zpotrs`` against the identity) gives log det Sigma_y and R; R S R,
+the cost log det Sigma_y + tr(R S), the moments and the misfit follow by
+GEMMs, so per-iteration cost never depends on the number of snapshots or
+on any v-grid size.
+
+Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
+``run`` leaves them out: it works on the operator restricted to the active
+blocks, whose tables are slices of the full operator's, taken again only
+when the active set shrinks.  The state and posterior it reports still
+cover every block, zero on inactive ones; ``mu`` and ``sigma_blocks`` of
+such a posterior are computed only when first read.
 """
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 from .dictionary import DictionaryPair, KronDictionary
 from .signal_model import SnapshotSet, sample_covariance
@@ -137,10 +145,11 @@ class Posterior:
     covariance diagonal blocks.  Inactive blocks are identically zero.
 
     ``e_step`` and ``run`` build it from Sigma_y^-1 of the prior it
-    conditions on.  Such a posterior also carries ``misfit``, the
-    ||Y - D mu||_F^2 of its data, without forming D mu, and ``run``'s
-    computes ``mu`` and ``sigma_blocks`` only when first read.  A posterior
-    given by hand has ``misfit = None``.
+    conditions on, through the operator of the active blocks.  Such a
+    posterior also carries ``misfit``, the ||Y - D mu||_F^2 of its data,
+    without forming D mu, and ``run``'s computes ``mu`` and ``sigma_blocks``
+    only when first read, scattered over every block.  A posterior given by
+    hand has ``misfit = None``.
     """
 
     def __init__(self, mu, sigma_blocks):
@@ -161,14 +170,15 @@ class Posterior:
         if self._mu is None:
             op, y, m = self._source
             z = op.adjoint_blocks(m.rinv @ y)
-            self._mu = (m.scaled @ z).reshape(op.n_blocks * op.block_size, -1)
+            self._mu = op.scatter(m.scaled @ z).reshape(-1, y.shape[1])
         return self._mu
 
     @property
     def sigma_blocks(self) -> np.ndarray:
         if self._sigma_blocks is None:
             op, _, m = self._source
-            self._sigma_blocks = _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv) @ m.scaled)
+            sigma = _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv) @ m.scaled)
+            self._sigma_blocks = op.scatter(sigma)
         return self._sigma_blocks
 
 
@@ -194,7 +204,37 @@ class RunDiagnostics:
 # dictionary backends
 
 
-class _KronIdentityOperator:
+class _BlockOperator:
+    """What both backends share: restriction to a subset of their blocks.
+
+    ``restrict(index)`` on an unrestricted operator gives the operator of
+    blocks ``index`` alone by slicing the per-block arrays named in
+    ``_per_block`` (attribute, block axis); nothing is rebuilt.  The
+    restricted operator keeps ``index``, and ``scatter`` places per-block
+    results back at those positions among all blocks.
+    """
+
+    index = None  # None: the operator is unrestricted
+    _per_block = ()
+
+    def restrict(self, index: np.ndarray):
+        sub = copy.copy(self)
+        for name, axis in self._per_block:
+            setattr(sub, name, np.take(getattr(self, name), index, axis=axis))
+        sub.n_blocks, sub.index, sub.n_all_blocks = index.size, index, self.n_blocks
+        return sub
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """``blocks`` (one per block of this operator) over all blocks of the
+        unrestricted operator, zero elsewhere."""
+        if self.index is None:
+            return blocks
+        out = np.zeros((self.n_all_blocks,) + blocks.shape[1:], dtype=blocks.dtype)
+        out[self.index] = blocks
+        return out
+
+
+class _KronIdentityOperator(_BlockOperator):
     """Phi kron I_b applied blockwise; nothing of size (n x M b) is formed.
 
     Every kernel is one GEMM over the block index.  Sigma_y assembly and the
@@ -210,6 +250,8 @@ class _KronIdentityOperator:
     using conj(P[m, x nx + y]) = P[m, y nx + x]; each is framed by a
     permutation of the four (x, y, k, l) axes.
     """
+
+    _per_block = (("factor", 1), ("factor_h", 0), ("outer", 0))
 
     def __init__(self, phi: np.ndarray, block_size: int):
         self.factor = np.asarray(phi, dtype=complex)
@@ -246,8 +288,10 @@ class _KronIdentityOperator:
         return float(np.linalg.norm(g, "fro") * math.sqrt(self.block_size))
 
 
-class _ColumnOperator:
+class _ColumnOperator(_BlockOperator):
     """Arbitrary dictionary columns treated as blocks of width one."""
+
+    _per_block = (("factor", 1), ("factor_conj", 1))
 
     def __init__(self, matrix: np.ndarray):
         self.factor = np.asarray(matrix, dtype=complex)
@@ -286,7 +330,7 @@ def _lambda_penalty(a: np.ndarray, gamma: np.ndarray, lam: float) -> float:
 def _operator_for(dictionary, y: SnapshotSet):
     """The operator of ``dictionary`` for snapshots ``y``; an operator that
     ``run`` already built is passed through, so its stages build none."""
-    if isinstance(dictionary, (_KronIdentityOperator, _ColumnOperator)):
+    if isinstance(dictionary, _BlockOperator):
         return dictionary
     if isinstance(dictionary, DictionaryPair):
         phi_u = dictionary.phi_u
@@ -341,16 +385,27 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
 
 
 def _scaled_prior(state: HMsblState) -> np.ndarray:
-    scaled = state.gamma[:, None, None] * state.b_mats
-    scaled[~state.active] = 0.0
-    return scaled
+    # inactive blocks carry gamma = 0, so they contribute nothing
+    return state.gamma[:, None, None] * state.b_mats
+
+
+def _active_part(op, state: HMsblState):
+    """(operator, state) of the active blocks of ``state`` alone: ``op`` and
+    ``state`` themselves while every block is active, else ``op`` restricted
+    to those blocks and a state holding copies of their gamma and B."""
+    if state.active.all():
+        return op, state
+    index = np.flatnonzero(state.active)
+    live = HMsblState(gamma=state.gamma[index], b_mats=state.b_mats[index],
+                      noise_var=state.noise_var, active=np.ones(index.size, dtype=bool))
+    return op.restrict(index), live
 
 
 @dataclass
 class _Marginal:
     """Sigma_y of one prior, kept as R = Sigma_y^-1 and R S R."""
 
-    scaled: np.ndarray  # gamma_i B_i, zero on inactive blocks
+    scaled: np.ndarray  # gamma_i B_i of the operator's blocks
     noise_var: float
     rinv: np.ndarray
     rsr: np.ndarray
@@ -358,19 +413,25 @@ class _Marginal:
 
 
 def _marginal(op, state: HMsblState, scm: np.ndarray) -> _Marginal:
-    """Factor Sigma_y of ``state``'s prior once; everything else is GEMMs."""
+    """Factor Sigma_y of ``state``'s prior once; everything else is GEMMs.
+
+    ``state`` holds the blocks of ``op``.  LAPACK is called directly:
+    ``zpotrf`` factors Sigma_y and ``zpotrs`` solves against the identity
+    for R.
+    """
     scaled = _scaled_prior(state)
     sy = op.signal_cov(scaled)
-    idx = np.arange(op.n_rows)
-    sy[idx, idx] += state.noise_var
-    try:
-        cho = cho_factor(sy, lower=True)
-    except np.linalg.LinAlgError as exc:  # lam <= 0, or far below the signal power
-        # (snr_db 300 gives lam = 1e-30), leaves Sigma_y numerically indefinite
-        raise SolverError(f"marginal covariance not positive definite: {exc}") from exc
-    rinv = cho_solve(cho, np.eye(op.n_rows, dtype=complex))
+    n = op.n_rows
+    sy.flat[::n + 1] += state.noise_var
+    chol, info = lapack.zpotrf(sy, lower=1, clean=0)
+    if info == 0:
+        rinv, info = lapack.zpotrs(chol, np.eye(n, dtype=complex), lower=1, overwrite_b=1)
+    if info != 0:  # lam <= 0, or far below the signal power (snr_db 300 gives
+        # lam = 1e-30), leaves Sigma_y numerically indefinite
+        raise SolverError("marginal covariance not positive definite: "
+                          f"{info}-th leading minor of the array is not positive definite")
     rs = rinv @ scm
-    cost = 2.0 * float(np.sum(np.log(np.diag(cho[0]).real))) + float(np.trace(rs).real)
+    cost = 2.0 * float(np.sum(np.log(chol.diagonal().real))) + float(np.trace(rs).real)
     if not math.isfinite(cost):
         raise SolverError(f"non-finite marginal-likelihood cost {cost}")
     return _Marginal(scaled=scaled, noise_var=state.noise_var, rinv=rinv, rsr=rs @ rinv, cost=cost)
@@ -391,8 +452,8 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
         raise ValueError("noise variance must be > 0")
     if not state.active.any():
         raise SolverError("no active blocks left")
-    op = _operator_for(dictionary, y)
-    post = Posterior._conditioned(op, y, _marginal(op, state, sample_covariance(y)))
+    op, live = _active_part(_operator_for(dictionary, y), state)
+    post = Posterior._conditioned(op, y, _marginal(op, live, sample_covariance(y)))
     post.mu, post.sigma_blocks  # the E-step proper: evaluate both now
     return post
 
@@ -469,8 +530,8 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
 
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
-    op = _operator_for(dictionary, y)
-    return _marginal(op, state, sample_covariance(y)).cost
+    op, live = _active_part(_operator_for(dictionary, y), state)
+    return _marginal(op, live, sample_covariance(y)).cost
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
@@ -535,18 +596,33 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     prior bit-identical, so the reuse is exact.  The operator is built once
     and handed to ``init_state`` and ``update_lambda``.
 
+    Sigma_y assembly, the moments and the M-step run on the active blocks
+    only.  After an iteration in which a block left the active set (pruned,
+    or a non-positive moment trace), the next one restricts the operator to
+    the blocks left by slicing its tables, where it re-factors Sigma_y
+    anyway.  Until the set first shrinks ``run`` works on ``state`` itself,
+    so a run that never prunes never gathers or scatters.  The noise
+    update's penalty takes the full Phi_u (nx x Mu) with gamma = 0 on
+    inactive blocks.
+
     ``on_iteration(iteration, state, posterior)`` is invoked after every
-    completed iteration (1-based); the posterior is that of the prior the
-    iteration started from, and its ``mu`` and ``sigma_blocks`` are computed
-    on first access.  Treat the arguments as read-only and copy anything
-    retained.  Returns (state, posterior, diagnostics).
+    completed iteration (1-based); ``state`` covers every block, with
+    gamma = 0 on inactive ones.  The posterior is that of the prior the
+    iteration started from; its ``mu`` and ``sigma_blocks`` are computed
+    on first access, over every block.  Treat the arguments as read-only
+    and copy anything retained: ``run`` updates the state's arrays in place.
+    Returns (state, posterior, diagnostics).
     """
     op = _operator_for(dictionary, y)
     state = init_state(y, op, params)
     data = compress_snapshots(y) if params.compress else y
     scm = sample_covariance(data)
 
-    marginal = _marginal(op, state, scm)
+    # the loop runs on ``live``, the gamma and B of the active blocks, and on
+    # ``cop``, the operator restricted to them: ``state`` and ``op``
+    # themselves until the active set first shrinks
+    cop, live = op, state
+    marginal = _marginal(cop, live, scm)
     state.cost_trace.append(marginal.cost)
     iter_seconds = []
     active_counts = []
@@ -555,32 +631,38 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
 
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        if marginal is None:
-            marginal = _marginal(op, state, scm)
-        post = Posterior._conditioned(op, data, marginal)
-        moments = _moments(op, marginal)
-        alive = state.active & (np.einsum("mkk->m", moments).real > 0)
+        if marginal is None:  # the active set shrank: slice the operator again,
+            post = cop = None  # never holding the old and the new slices at once
+            cop, live = _active_part(op, state)
+            marginal = _marginal(cop, live, scm)
+        post = Posterior._conditioned(cop, data, marginal)
+        moments = _moments(cop, marginal)
+        alive = np.einsum("mkk->m", moments).real > 0
         if not alive.any():
             raise SolverError("all block powers collapsed to zero")
-        state.active = alive
-        flat = moments.reshape(state.n_blocks, -1).view(float)  # real and imaginary parts
+        live.active = alive
+        flat = moments.reshape(live.n_blocks, -1).view(float)  # real and imaginary parts
         fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
-        state.b_mats[alive] = moments[alive] / fro[alive, None, None]
-        state.gamma = np.where(alive, fro, 0.0)
+        live.b_mats[alive] = moments[alive] / fro[alive, None, None]
+        live.gamma = np.where(alive, fro, 0.0)
+        if live is not state:
+            state.gamma[cop.index] = live.gamma
+            state.b_mats[cop.index] = live.b_mats
 
         if params.lambda_mode == "adaptive":
-            state.noise_var = update_lambda(data, post, state, op)
+            live.noise_var = state.noise_var = update_lambda(data, post, state, op)
 
-        marginal = _marginal(op, state, scm)
+        marginal = _marginal(cop, live, scm)
         state.cost_trace.append(marginal.cost)
-        kept = prune(state, params)
-        if not np.array_equal(kept, state.active):
+        kept = prune(live, params)
+        if not kept.all():  # a block died or was pruned
+            gone = np.flatnonzero(~kept) if cop.index is None else cop.index[~kept]
+            state.active[gone] = False
+            state.gamma[gone] = 0.0
             marginal = None
-        state.active = kept
-        state.gamma = np.where(state.active, state.gamma, 0.0)
 
         iter_seconds.append(time.perf_counter() - t0)
-        active_counts.append(int(state.active.sum()))
+        active_counts.append(int(kept.sum()))
         if on_iteration is not None:
             on_iteration(it, state, post)
 
@@ -590,7 +672,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             break
 
     if post is None:
-        post = Posterior._conditioned(op, data, marginal)
+        post = Posterior._conditioned(cop, data, marginal)
     diagnostics = RunDiagnostics(
         cost_trace=list(state.cost_trace),
         iter_seconds=iter_seconds,

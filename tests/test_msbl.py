@@ -70,6 +70,27 @@ def test_msbl_estimates_skips_inactive():
         msbl_estimates(state, _LABELS, 0)
 
 
+def test_msbl_estimates_equal_a_full_stable_sort():
+    # the partial selection must pick what a stable argsort of every active
+    # power picks, also with many ties at the k-th value and inactive columns
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        gamma = rng.integers(0, 5, size=n).astype(float)  # few distinct values: ties
+        if trial % 2:
+            gamma += rng.uniform(size=n) * (rng.uniform(size=n) < 0.5)
+        active = rng.uniform(size=n) < 0.7
+        if not active.any():
+            active[int(rng.integers(n))] = True
+        gamma[~active] = rng.uniform(0, 10, size=(~active).sum())  # stale powers
+        labels = np.column_stack([np.arange(n), -np.arange(n)]).astype(float)
+        idx = np.flatnonzero(active)
+        for k in range(1, idx.size + 1):
+            want = idx[np.argsort(-gamma[idx], kind="stable")][:k]
+            got = msbl_estimates(_flat_state(gamma, active), labels, k)
+            assert got == [tuple(labels[i]) for i in want]
+
+
 def test_msbl_cost_monotone():
     cfg = UraConfig(3, 3)
     scene = Scene(sources=(Source(0.3, -0.2),), snr_db=15, num_snapshots=20, seed=7)

@@ -382,7 +382,10 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     data = compress_snapshots(y) if compress else y
     assert (data.y.shape[1] < n_snap) == compress
 
-    marginal = solver._marginal(op, state, sample_covariance(data))
+    # run() works on the active blocks alone and scatters back to all of them
+    cop, live = solver._active_part(op, state)
+    assert cop.n_blocks == live.n_blocks == state.active.sum()
+    marginal = solver._marginal(cop, live, sample_covariance(data))
     if kind == "kron":
         mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
         cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
@@ -392,16 +395,67 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
         cost_o = dense_flat_cost(sample_covariance(y), d, gamma, 0.3)
     mu_b = mu_o.reshape(n_blocks, b, n_snap)
     moments_o = sig_o + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
-    assert np.max(np.abs(solver._moments(op, marginal) - moments_o)) < 1e-10
+    assert np.max(np.abs(cop.scatter(solver._moments(cop, marginal)) - moments_o)) < 1e-10
     assert marginal.cost == pytest.approx(cost_o, rel=1e-10)
 
-    post = solver.Posterior._conditioned(op, data, marginal)
+    post = solver.Posterior._conditioned(cop, data, marginal)
     misfit_o = np.linalg.norm(y.y - d @ mu_o, "fro") ** 2
     assert post.misfit == pytest.approx(misfit_o, rel=1e-10)
+    assert np.max(np.abs(post.sigma_blocks - sig_o)) < 1e-10
+    if not compress:  # mu of the compressed data is not that of the data
+        assert np.max(np.abs(post.mu - mu_o)) < 1e-10
     g = (a * gamma) @ a.conj().T
     pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(a.shape[0]), g)).real / a.shape[0]
-    got = update_lambda(data, post, state, op)
+    got = update_lambda(data, post, live, cop)
     assert got == pytest.approx(misfit_o / (n * n_snap) + pen, rel=1e-10)
+
+
+@pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (5, 1, 9), (1, 4, 6), (1, 1, 4)])
+@pytest.mark.parametrize("kind", ["kron", "column"])
+def test_marginal_matches_dense_inverse(nx, ny, m, kind):
+    # R, R S R and the cost from the LAPACK factorisation against a dense
+    # inverse and log-determinant; nx = ny = 1 factors a 1 x 1 Sigma_y
+    rng = np.random.default_rng(500 + 100 * nx + 10 * ny + m)
+    phi = _cplx(rng, nx, m)
+    d = kron_identity_loop(phi, ny)
+    if kind == "kron":
+        op, b = solver._KronIdentityOperator(phi, ny), ny
+    else:
+        op, b = solver._ColumnOperator(d), 1
+    n_blocks, n = d.shape[1] // b, nx * ny
+    state = _random_state(rng, n_blocks, b, lam=0.2)
+    state.active = rng.uniform(size=n_blocks) < 0.6
+    state.active[0] = True
+    state.gamma[~state.active] = 0.0
+    y = _cplx(rng, n, 4)
+    scm = y @ y.conj().T / 4
+
+    marginal = solver._marginal(op, state, scm)
+    sy = d @ block_diag_prior(state.gamma, state.b_mats) @ d.conj().T + 0.2 * np.eye(n)
+    r = np.linalg.inv(sy)
+    sign, logdet = np.linalg.slogdet(sy)
+    assert sign.real > 0
+    assert np.max(np.abs(marginal.rinv - r)) <= 1e-10 * np.max(np.abs(r))
+    rsr = r @ scm @ r
+    assert np.max(np.abs(marginal.rsr - rsr)) <= 1e-10 * np.max(np.abs(rsr))
+    assert marginal.cost == pytest.approx(logdet + np.trace(r @ scm).real, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["negative lam", "lam 1e-30", "nan power", "inf power"])
+def test_marginal_raises_on_an_indefinite_or_non_finite_sigma_y(case):
+    # a rank-deficient signal part (2 blocks of size 2 on 6 rows) leaves
+    # Sigma_y indefinite when lam is negative or numerically so at lam = 1e-30
+    rng = np.random.default_rng(34)
+    op = solver._KronIdentityOperator(_cplx(rng, 3, 2), 2)
+    state = _random_state(rng, 2, 2, lam=-0.5 if case == "negative lam" else 1e-30)
+    if case == "nan power":
+        state.gamma[1], state.noise_var = np.nan, 0.1
+    if case == "inf power":
+        state.gamma[1], state.noise_var = np.inf, 0.1
+    y = _cplx(rng, 6, 8)
+    # inf * 0j warns in numpy's own arithmetic before LAPACK sees Sigma_y
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not positive definite|non-finite"):
+        solver._marginal(op, state, y @ y.conj().T / 8)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -417,10 +471,60 @@ def test_adaptive_run_builds_one_operator(monkeypatch, flat):
             built.append(type(self).__name__)
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counting_init)
-    params = HMsblParams(max_iters=5, lambda_mode="adaptive", cost_tol=0.0)
+    restricted = []
+    restrict = solver._BlockOperator.restrict
+    monkeypatch.setattr(solver._BlockOperator, "restrict",
+                        lambda self, index: restricted.append(index.size) or restrict(self, index))
+    params = HMsblParams(max_iters=8, prune_tol=0.1, lambda_mode="adaptive", cost_tol=0.0)
     _, _, diag = run(y, dictionary, params)
-    assert diag.n_iters == 5
+    assert diag.n_iters == 8
     assert built == ["_ColumnOperator" if flat else "_KronIdentityOperator"]
+    # and restricts it to the blocks left once per change of the active set
+    # that a later iteration runs on
+    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts[:-1]
+    changed = [b for a, b in zip(counts, counts[1:]) if b != a]
+    assert changed and restricted == changed
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_run_kernels_see_only_the_active_blocks(monkeypatch, flat):
+    # every Sigma_y assembly and quadratic form of iteration t runs on the
+    # blocks left active by iteration t - 1, and the posteriors run()
+    # hands out still cover every block
+    rng = np.random.default_rng(33)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
+    dictionary = kron_dictionary(pair, prune=True) if flat else pair
+    widths = [[]]
+    for cls in (solver._KronIdentityOperator, solver._ColumnOperator):
+        for name in ("signal_cov", "quad_blocks"):
+            def counting(self, arg, _kernel=getattr(cls, name)):
+                widths[-1].append(self.n_blocks)
+                return _kernel(self, arg)
+            monkeypatch.setattr(cls, name, counting)
+    n_all = init_state(y, dictionary, HMsblParams()).n_blocks
+    shapes = []
+
+    def mark(it, state, post):
+        widths.append([])
+        shapes.append((state.gamma.size, state.b_mats.shape[0], state.active.size))
+
+    params = HMsblParams(max_iters=30, prune_tol=0.1, lambda_mode="adaptive", cost_tol=0.0)
+    state, post, diag = run(y, dictionary, params, on_iteration=mark)
+    before = [n_all] + diag.active_counts[:-1]
+    assert min(diag.active_counts) < n_all  # pruning shrank the set
+    for t, seen in enumerate(widths[:-1]):
+        assert seen and set(seen) == {before[t]}, f"iteration {t + 1}"
+    assert shapes == [(n_all, n_all, n_all)] * params.max_iters
+    assert post.mu.shape[0] == n_all * state.block_size
+    assert post.sigma_blocks.shape[0] == n_all
+    assert not post.sigma_blocks[~state.active].any()
+    assert not post.mu[np.repeat(~state.active, state.block_size)].any()
+
+    # with pruning off the operator is never restricted
+    monkeypatch.setattr(solver._BlockOperator, "restrict",
+                        lambda self, index: pytest.fail("restricted without a mask change"))
+    _, _, diag = run(y, dictionary, HMsblParams(max_iters=30, prune_tol=0.0, cost_tol=0.0))
+    assert diag.active_counts == [n_all] * 30
 
 
 def test_run_posterior_is_formed_on_first_access(monkeypatch):
@@ -561,7 +665,8 @@ def test_run_gamma_b_product_equals_moment():
 
 
 def _recording_moments(monkeypatch, edit=None):
-    # wrap the moments run() consumes, optionally editing them first
+    # wrap the moments run() consumes, optionally editing them first; they
+    # are those of the active blocks, recorded over all blocks
     seen = []
     moments = solver._moments
 
@@ -569,7 +674,7 @@ def _recording_moments(monkeypatch, edit=None):
         m = moments(op, marginal)
         if edit is not None:
             m = edit(m.copy())
-        seen.append(m.copy())
+        seen.append(op.scatter(m).copy())
         return m
 
     monkeypatch.setattr(solver, "_moments", wrapped)
