@@ -97,8 +97,6 @@ _FIELDS = (
     ("solvers.<algo>", "object", None, {}),
     ("solvers.<algo>.max_iters", "int", 1, 500),
     ("solvers.<algo>.prune_tol", "number", 0, 1e-3),
-    ("solvers.<algo>.prune_mode", ("relative", "absolute"), None, "relative"),
-    ("solvers.<algo>.b_loading", "number", 0, 1e-10),
     ("solvers.<algo>.cost_tol", "number", 0, 0.0),
     ("solvers.<algo>.lambda_mode", ("fixed", "adaptive"), None, "fixed"),
     ("solvers.<algo>.lambda_value", "lambda", None, "oracle"),
@@ -419,8 +417,6 @@ def _params_for(config: ExperimentConfig, algo: str, overrides=None) -> solver.H
     return solver.HMsblParams(
         max_iters=spec["max_iters"],
         prune_tol=spec["prune_tol"],
-        prune_mode=spec["prune_mode"],
-        b_loading=spec["b_loading"],
         cost_tol=spec["cost_tol"],
         lambda_mode=spec["lambda_mode"],
         lambda_value=lam if spec["lambda_mode"] == "fixed" else 1e-2,

@@ -34,20 +34,22 @@ One Cholesky factorisation of Sigma_y per iteration (LAPACK ``zpotrf``,
 then ``zpotrs`` against the identity) gives log det Sigma_y and R; R S R,
 the cost log det Sigma_y + tr(R S), the moments and the misfit follow by
 GEMMs, so per-iteration cost never depends on the number of snapshots or
-on any v-grid size.
+on any v-grid size.  Those statistics of one prior are its ``Posterior``;
+``e_step``, ``ml_cost`` and ``run`` all get theirs from ``_marginal``.
 
 Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
 ``run`` leaves them out: it works on the operator restricted to the active
 blocks, whose tables are slices of the full operator's, taken again only
 when the active set shrinks.  The state and posterior it reports still
 cover every block, zero on inactive ones; ``mu`` and ``sigma_blocks`` of
-such a posterior are computed only when first read.
+a posterior are computed only when first read.
 """
 
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -88,16 +90,15 @@ class HMsblParams:
 
     ``lambda_mode`` is "fixed" (use ``lambda_value``) or "adaptive"
     (re-estimate the noise variance each iteration).  ``prune_tol`` is a
-    relative threshold against the largest block power, or an absolute one
-    with ``prune_mode="absolute"``; zero disables pruning.  ``compress``
-    replaces Y by a rank-preserving square root of Y Y^H when snapshots
-    outnumber rows, leaving every 1/L average unchanged.  ``b_loading`` is
-    read only by ``update_gamma``; ``run``'s result does not depend on it.
+    threshold relative to the largest block power; zero disables pruning.
+    ``compress`` replaces Y by a rank-preserving square root of Y Y^H when
+    snapshots outnumber rows, leaving every 1/L average unchanged.
+    ``b_loading`` is read only by the reference ``update_gamma``; ``run``'s
+    result does not depend on it, and the config schema does not set it.
     """
 
     max_iters: int = 200
     prune_tol: float = 1e-3
-    prune_mode: str = "relative"
     b_loading: float = 1e-10
     cost_tol: float = 1e-8
     lambda_mode: str = "fixed"
@@ -109,8 +110,6 @@ class HMsblParams:
             raise ValueError("max_iters must be >= 0")
         if self.prune_tol < 0:
             raise ValueError("prune_tol must be >= 0")
-        if self.prune_mode not in ("relative", "absolute"):
-            raise ValueError(f"unknown prune_mode {self.prune_mode!r}")
         if self.b_loading < 0:
             raise ValueError("b_loading must be >= 0")
         if self.cost_tol < 0:
@@ -123,13 +122,18 @@ class HMsblParams:
 
 @dataclass
 class HMsblState:
-    """Mutable solver state: block powers, correlations, noise variance."""
+    """Mutable solver state: block powers, correlations, noise variance.
+
+    A run's cost trace is ``RunDiagnostics.cost_trace``.  ``cost_trace`` is
+    an init-only argument, accepted and ignored, so that code written when
+    the state held the trace still constructs states.
+    """
 
     gamma: np.ndarray
     b_mats: np.ndarray
     noise_var: float
     active: np.ndarray
-    cost_trace: list = field(default_factory=list)
+    cost_trace: InitVar[object] = None
 
     @property
     def n_blocks(self) -> int:
@@ -140,46 +144,39 @@ class HMsblState:
         return self.b_mats.shape[1]
 
 
+@dataclass(eq=False)
 class Posterior:
-    """Posterior moments of X given Y: mean columns and per-block
-    covariance diagonal blocks.  Inactive blocks are identically zero.
+    """Posterior of X given Y under one prior, held as the statistics of
+    its marginal covariance Sigma_y through the operator ``op`` of the
+    prior's active blocks.
 
-    ``e_step`` and ``run`` build it from Sigma_y^-1 of the prior it
-    conditions on, through the operator of the active blocks.  Such a
-    posterior also carries ``misfit``, the ||Y - D mu||_F^2 of its data,
-    without forming D mu, and ``run``'s computes ``mu`` and ``sigma_blocks``
-    only when first read, scattered over every block.  A posterior given by
-    hand has ``misfit = None``.
+    ``_marginal`` builds it from one factorisation of Sigma_y: ``rinv`` is
+    R = Sigma_y^-1, ``rsr`` is R S R for the sample covariance S, ``cost``
+    is log det Sigma_y + tr(R S), and ``misfit`` is the data misfit
+    ||Y - D mu||_F^2 = lam^2 L tr(R S R), all without forming mu.  The
+    mean columns ``mu`` (for the columns of ``y``) and the per-block
+    covariance diagonal blocks ``sigma_blocks`` are computed when first
+    read, over every block, zero on inactive ones.
     """
 
-    def __init__(self, mu, sigma_blocks):
-        self._mu = mu
-        self._sigma_blocks = sigma_blocks
-        self._source = None
-        self.misfit = None
+    op: object
+    y: np.ndarray  # the snapshot columns mu is formed for
+    scaled: np.ndarray  # gamma_i B_i of the operator's blocks
+    noise_var: float
+    rinv: np.ndarray
+    rsr: np.ndarray
+    cost: float
+    misfit: float
 
-    @classmethod
-    def _conditioned(cls, op, data: SnapshotSet, marginal: "_Marginal") -> "Posterior":
-        post = cls(None, None)
-        post._source = (op, data.y, marginal)
-        post.misfit = marginal.noise_var ** 2 * data.n_snapshots * float(np.trace(marginal.rsr).real)
-        return post
-
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
-        if self._mu is None:
-            op, y, m = self._source
-            z = op.adjoint_blocks(m.rinv @ y)
-            self._mu = op.scatter(m.scaled @ z).reshape(-1, y.shape[1])
-        return self._mu
+        z = self.op.adjoint_blocks(self.rinv @ self.y)
+        return self.op.scatter(self.scaled @ z).reshape(-1, self.y.shape[1])
 
-    @property
+    @cached_property
     def sigma_blocks(self) -> np.ndarray:
-        if self._sigma_blocks is None:
-            op, _, m = self._source
-            sigma = _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv) @ m.scaled)
-            self._sigma_blocks = op.scatter(sigma)
-        return self._sigma_blocks
+        quad = self.op.quad_blocks(self.rinv)
+        return self.op.scatter(_hermitize(self.scaled - self.scaled @ quad @ self.scaled))
 
 
 @dataclass
@@ -189,15 +186,6 @@ class RunDiagnostics:
     active_counts: list
     n_iters: int
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "cost_trace": [float(c) for c in self.cost_trace],
-            "iter_seconds": [float(t) for t in self.iter_seconds],
-            "active_counts": [int(a) for a in self.active_counts],
-            "n_iters": int(self.n_iters),
-            "converged": bool(self.converged),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +239,14 @@ class _KronIdentityOperator(_BlockOperator):
     permutation of the four (x, y, k, l) axes.
     """
 
-    _per_block = (("factor", 1), ("factor_h", 0), ("outer", 0))
+    _per_block = (("factor", 1), ("outer", 0))
 
     def __init__(self, phi: np.ndarray, block_size: int):
         self.factor = np.asarray(phi, dtype=complex)
-        self.factor_h = self.factor.conj().T.copy()
         self.block_size = int(block_size)
         self.n_factor_rows, self.n_blocks = self.factor.shape
         self.n_rows = self.n_factor_rows * self.block_size
-        outer = self.factor.T[:, :, None] * self.factor_h[:, None, :]
+        outer = self.factor.T[:, :, None] * self.factor.T.conj()[:, None, :]
         self.outer = outer.reshape(self.n_blocks, -1)
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
@@ -270,11 +257,7 @@ class _KronIdentityOperator(_BlockOperator):
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
         w2 = w.reshape(self.n_factor_rows, -1)
-        return (self.factor_h @ w2).reshape(self.n_blocks, self.block_size, -1)
-
-    def forward(self, blocks: np.ndarray) -> np.ndarray:
-        out = self.factor @ blocks.reshape(self.n_blocks, -1)
-        return out.reshape(self.n_rows, -1)
+        return (self.factor.conj().T @ w2).reshape(self.n_blocks, self.block_size, -1)
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
         # (phi_m kron I)^H Rinv (phi_m kron I) for every block m
@@ -284,38 +267,43 @@ class _KronIdentityOperator(_BlockOperator):
 
     def gram_fro(self) -> float:
         # || (Phi Phi^H) kron I ||_F = || Phi Phi^H ||_F * sqrt(b)
-        g = self.factor @ self.factor_h
+        g = self.factor @ self.factor.conj().T
         return float(np.linalg.norm(g, "fro") * math.sqrt(self.block_size))
 
 
 class _ColumnOperator(_BlockOperator):
-    """Arbitrary dictionary columns treated as blocks of width one."""
+    """Arbitrary dictionary columns treated as blocks of width one.
 
-    _per_block = (("factor", 1), ("factor_conj", 1))
+    Only the dictionary F itself is kept.  The per-iteration kernels apply
+    its conjugate through their products, so no conjugate copy of F (the
+    size of the dictionary, and of every restriction) is held:
+
+        signal_cov:  F diag(w) F^H = (conj(F) diag(w) F^T)^T
+        quad_blocks: diag(F^H R F) = conj(diag(F^T conj(R F)))
+    """
+
+    _per_block = (("factor", 1),)
 
     def __init__(self, matrix: np.ndarray):
         self.factor = np.asarray(matrix, dtype=complex)
-        self.factor_conj = self.factor.conj()
         self.n_rows, self.n_blocks = self.factor.shape
         self.block_size = 1
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
-        w = scaled[:, 0, 0].real
-        return (self.factor * w) @ self.factor_conj.T
+        weighted = self.factor.conj()
+        weighted *= scaled[:, 0, 0].real
+        return (weighted @ self.factor.T).T
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        return (self.factor_conj.T @ w)[:, None, :]
-
-    def forward(self, blocks: np.ndarray) -> np.ndarray:
-        return self.factor @ blocks[:, 0, :]
+        return (self.factor.T @ w.conj()).conj()[:, None, :]
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
         t = rinv @ self.factor
-        q = np.einsum("xp,xp->p", self.factor_conj, t)
+        q = np.einsum("xp,xp->p", self.factor, np.conj(t, out=t)).conj()
         return q[:, None, None]
 
     def gram_fro(self) -> float:
-        return float(np.linalg.norm(self.factor @ self.factor_conj.T, "fro"))
+        return float(np.linalg.norm(self.factor @ self.factor.conj().T, "fro"))
 
 
 def _lambda_penalty(a: np.ndarray, gamma: np.ndarray, lam: float) -> float:
@@ -380,7 +368,6 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
         b_mats=b_mats,
         noise_var=lam,
         active=np.ones(op.n_blocks, dtype=bool),
-        cost_trace=[],
     )
 
 
@@ -401,19 +388,10 @@ def _active_part(op, state: HMsblState):
     return op.restrict(index), live
 
 
-@dataclass
-class _Marginal:
-    """Sigma_y of one prior, kept as R = Sigma_y^-1 and R S R."""
-
-    scaled: np.ndarray  # gamma_i B_i of the operator's blocks
-    noise_var: float
-    rinv: np.ndarray
-    rsr: np.ndarray
-    cost: float  # log det Sigma_y + tr(R S)
-
-
-def _marginal(op, state: HMsblState, scm: np.ndarray) -> _Marginal:
-    """Factor Sigma_y of ``state``'s prior once; everything else is GEMMs.
+def _marginal(op, state: HMsblState, data: SnapshotSet, scm: np.ndarray) -> Posterior:
+    """The posterior of ``state``'s prior given ``data``, whose sample
+    covariance is ``scm``: Sigma_y is factored once, everything else is
+    GEMMs.
 
     ``state`` holds the blocks of ``op``.  LAPACK is called directly:
     ``zpotrf`` factors Sigma_y and ``zpotrs`` solves against the identity
@@ -422,22 +400,27 @@ def _marginal(op, state: HMsblState, scm: np.ndarray) -> _Marginal:
     scaled = _scaled_prior(state)
     sy = op.signal_cov(scaled)
     n = op.n_rows
-    sy.flat[::n + 1] += state.noise_var
+    lam = state.noise_var
+    sy.flat[::n + 1] += lam
     chol, info = lapack.zpotrf(sy, lower=1, clean=0)
     if info == 0:
         rinv, info = lapack.zpotrs(chol, np.eye(n, dtype=complex), lower=1, overwrite_b=1)
     if info != 0:  # lam <= 0, or far below the signal power (snr_db 300 gives
         # lam = 1e-30), leaves Sigma_y numerically indefinite
         raise SolverError("marginal covariance not positive definite: "
-                          f"{info}-th leading minor of the array is not positive definite")
+                          f"{info}-th leading minor of the array is not positive definite "
+                          f"(lam = {lam:.3g}, tr(Sigma_y)/n = {float(np.trace(sy).real) / n:.3g})")
     rs = rinv @ scm
     cost = 2.0 * float(np.sum(np.log(chol.diagonal().real))) + float(np.trace(rs).real)
     if not math.isfinite(cost):
         raise SolverError(f"non-finite marginal-likelihood cost {cost}")
-    return _Marginal(scaled=scaled, noise_var=state.noise_var, rinv=rinv, rsr=rs @ rinv, cost=cost)
+    rsr = rs @ rinv
+    misfit = lam ** 2 * data.n_snapshots * float(np.trace(rsr).real)
+    return Posterior(op=op, y=data.y, scaled=scaled, noise_var=lam, rinv=rinv, rsr=rsr,
+                     cost=cost, misfit=misfit)
 
 
-def _moments(op, m: _Marginal) -> np.ndarray:
+def _moments(op, m: Posterior) -> np.ndarray:
     """Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i."""
     return _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv - m.rsr) @ m.scaled)
 
@@ -453,22 +436,23 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
     if not state.active.any():
         raise SolverError("no active blocks left")
     op, live = _active_part(_operator_for(dictionary, y), state)
-    post = Posterior._conditioned(op, y, _marginal(op, live, sample_covariance(y)))
+    post = _marginal(op, live, y, sample_covariance(y))
     post.mu, post.sigma_blocks  # the E-step proper: evaluate both now
     return post
 
 
-def _moment_blocks(post: Posterior, n_blocks: int, block_size: int, n_snapshots: int) -> np.ndarray:
+def _moment_blocks(post, n_blocks: int, block_size: int, n_snapshots: int) -> np.ndarray:
     mu_b = post.mu.reshape(n_blocks, block_size, -1)
     outer = (mu_b @ mu_b.conj().swapaxes(-1, -2)) / n_snapshots
     return _hermitize(post.sigma_blocks + outer)
 
 
-def update_gamma(post: Posterior, state: HMsblState, n_snapshots: int, b_loading: float = 1e-10) -> np.ndarray:
+def update_gamma(post, state: HMsblState, n_snapshots: int, b_loading: float = 1e-10) -> np.ndarray:
     """Block powers gamma_i = tr(B_i^-1 (Sigma_x^i + mu^i mu^iH / L)) / b.
 
-    Consumes the previous iteration's B_i, diagonally loaded by
-    ``b_loading`` before inversion.  Inactive blocks stay at zero.
+    ``post`` is a ``Posterior`` or any object with its ``mu`` and
+    ``sigma_blocks``.  Consumes the previous iteration's B_i, diagonally
+    loaded by ``b_loading`` before inversion.  Inactive blocks stay at zero.
     ``run`` takes this step and ``update_b``'s together in closed form.
     """
     moments = _moment_blocks(post, state.n_blocks, state.block_size, n_snapshots)
@@ -483,11 +467,11 @@ def update_gamma(post: Posterior, state: HMsblState, n_snapshots: int, b_loading
     return gamma
 
 
-def update_b(post: Posterior, state: HMsblState, n_snapshots: int) -> np.ndarray:
+def update_b(post, state: HMsblState, n_snapshots: int) -> np.ndarray:
     """Unit-Frobenius correlation update B_i = (moment_i / gamma_i) scaled
     to unit Frobenius norm.
 
-    Uses the gamma values already placed in ``state`` by this iteration's
+    ``post`` is as for ``update_gamma``.  Uses the gamma values already placed in ``state`` by this iteration's
     gamma update.  Blocks that are inactive or have zero gamma keep their
     previous correlation matrix.  Pushing the removed norm back into gamma
     gives gamma_i B_i = moment_i, which is the step ``run`` takes.
@@ -503,7 +487,7 @@ def update_b(post: Posterior, state: HMsblState, n_snapshots: int) -> np.ndarray
     return out
 
 
-def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary) -> float:
+def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) -> float:
     """Stabilized noise-variance update.
 
     lam <- ||Y - D mu||_F^2 / (n L)
@@ -512,14 +496,10 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
     where A is Phi_u (n_u = nx) for the block solver and the flat
     dictionary (n_u = n) for the baseline.  Floored at
     1e-12 tr(S_hat) / n so the next factorization stays positive definite.
-    The misfit comes from ``post.misfit`` when the posterior carries it;
-    only a posterior given by hand costs the product D mu.
+    ``misfit`` is ||Y - D mu||_F^2 for the posterior mean mu under the
+    current prior: ``Posterior.misfit``, which needs no product D mu.
     """
     op = _operator_for(dictionary, y)
-    misfit = post.misfit
-    if misfit is None:
-        resid = y.y - op.forward(post.mu.reshape(op.n_blocks, op.block_size, -1))
-        misfit = float(np.linalg.norm(resid, "fro") ** 2)
     n = op.n_rows
     L = y.n_snapshots
     lam = misfit / (n * L)
@@ -531,24 +511,21 @@ def update_lambda(y: SnapshotSet, post: Posterior, state: HMsblState, dictionary
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
     op, live = _active_part(_operator_for(dictionary, y), state)
-    return _marginal(op, live, sample_covariance(y)).cost
+    return _marginal(op, live, y, sample_covariance(y)).cost
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
     """Deactivation mask after thresholding block powers.
 
-    Relative mode drops gamma_i < prune_tol * max_j gamma_j; absolute mode
-    compares against prune_tol directly.  Deactivation is permanent: the
-    returned mask is a subset of the current one.
+    Drops gamma_i < prune_tol * max_j gamma_j over the active blocks.
+    Deactivation is permanent: the returned mask is a subset of the
+    current one.
     """
     if not state.active.any():
         raise SolverError("no active blocks to prune")
     if params.prune_tol == 0:
         return state.active.copy()
-    if params.prune_mode == "relative":
-        thr = params.prune_tol * float(state.gamma[state.active].max())
-    else:
-        thr = params.prune_tol
+    thr = params.prune_tol * float(state.gamma[state.active].max())
     mask = state.active & (state.gamma >= thr)
     if not mask.any():
         raise SolverError("pruning removed every block (degenerate fit)")
@@ -590,10 +567,11 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     moment has a non-positive trace leaves the active set.
 
     Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
-    docstring): one Cholesky factorisation per iteration gives the cost of
-    the updated prior and, unless pruning then changed the active set, the
-    next iteration's moments and noise misfit.  An unchanged set leaves the
-    prior bit-identical, so the reuse is exact.  The operator is built once
+    docstring): one Cholesky factorisation per iteration gives the
+    ``Posterior`` of the updated prior, whose cost is the iteration's and
+    which, unless pruning then changed the active set, is the next
+    iteration's posterior, with its moments and noise misfit.  An unchanged
+    set leaves the prior bit-identical, so the reuse is exact.  The operator is built once
     and handed to ``init_state`` and ``update_lambda``.
 
     Sigma_y assembly, the moments and the M-step run on the active blocks
@@ -608,8 +586,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     ``on_iteration(iteration, state, posterior)`` is invoked after every
     completed iteration (1-based); ``state`` covers every block, with
     gamma = 0 on inactive ones.  The posterior is that of the prior the
-    iteration started from; its ``mu`` and ``sigma_blocks`` are computed
-    on first access, over every block.  Treat the arguments as read-only
+    iteration started from, as the loop used it; its ``mu`` and
+    ``sigma_blocks`` are computed on first access, over every block.  Treat the arguments as read-only
     and copy anything retained: ``run`` updates the state's arrays in place.
     Returns (state, posterior, diagnostics).
     """
@@ -622,8 +600,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     # ``cop``, the operator restricted to them: ``state`` and ``op``
     # themselves until the active set first shrinks
     cop, live = op, state
-    marginal = _marginal(cop, live, scm)
-    state.cost_trace.append(marginal.cost)
+    marginal = _marginal(cop, live, data, scm)
+    cost_trace = [marginal.cost]
     iter_seconds = []
     active_counts = []
     converged = False
@@ -634,8 +612,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         if marginal is None:  # the active set shrank: slice the operator again,
             post = cop = None  # never holding the old and the new slices at once
             cop, live = _active_part(op, state)
-            marginal = _marginal(cop, live, scm)
-        post = Posterior._conditioned(cop, data, marginal)
+            marginal = _marginal(cop, live, data, scm)
+        post = marginal
         moments = _moments(cop, marginal)
         alive = np.einsum("mkk->m", moments).real > 0
         if not alive.any():
@@ -650,10 +628,10 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             state.b_mats[cop.index] = live.b_mats
 
         if params.lambda_mode == "adaptive":
-            live.noise_var = state.noise_var = update_lambda(data, post, state, op)
+            live.noise_var = state.noise_var = update_lambda(data, post.misfit, state, op)
 
-        marginal = _marginal(cop, live, scm)
-        state.cost_trace.append(marginal.cost)
+        marginal = _marginal(cop, live, data, scm)
+        cost_trace.append(marginal.cost)
         kept = prune(live, params)
         if not kept.all():  # a block died or was pruned
             gone = np.flatnonzero(~kept) if cop.index is None else cop.index[~kept]
@@ -666,15 +644,15 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         if on_iteration is not None:
             on_iteration(it, state, post)
 
-        prev, cur = state.cost_trace[-2], state.cost_trace[-1]
+        prev, cur = cost_trace[-2], cost_trace[-1]
         if abs(cur - prev) / max(1.0, abs(prev)) < params.cost_tol:
             converged = True
             break
 
     if post is None:
-        post = Posterior._conditioned(cop, data, marginal)
+        post = marginal
     diagnostics = RunDiagnostics(
-        cost_trace=list(state.cost_trace),
+        cost_trace=cost_trace,
         iter_seconds=iter_seconds,
         active_counts=active_counts,
         n_iters=len(iter_seconds),

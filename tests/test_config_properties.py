@@ -27,7 +27,6 @@ def _solver_specs(draw):
     spec = {"max_iters": draw(st.integers(1, 5))}
     if draw(st.booleans()):
         spec["prune_tol"] = draw(st.sampled_from([0.0, 1e-3, 0.3]))
-        spec["prune_mode"] = draw(st.sampled_from(["relative", "absolute"]))
         spec["cost_tol"] = draw(st.sampled_from([0.0, 1e-6]))
         spec["compress"] = draw(st.booleans())
     spec["lambda_mode"] = draw(st.sampled_from(["fixed", "adaptive"]))

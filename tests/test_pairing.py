@@ -142,8 +142,7 @@ def _state_with_blocks(blocks, gamma, ny):
     return HMsblState(gamma=np.asarray(gamma, dtype=float),
                       b_mats=np.array(blocks),
                       noise_var=0.1,
-                      active=np.asarray(gamma, dtype=float) > 0,
-                      cost_trace=[])
+                      active=np.asarray(gamma, dtype=float) > 0)
 
 
 def test_pair_estimates_two_blocks():

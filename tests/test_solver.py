@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from hmsbl.solver import (
     DegenerateInputError,
     HMsblParams,
     HMsblState,
-    Posterior,
     SolverError,
     compress_snapshots,
     e_step,
@@ -52,7 +53,7 @@ def _random_state(rng, m, b, lam=0.05):
         b_mats[i] = h / np.linalg.norm(h, "fro")
     b_mats = 0.5 * (b_mats + b_mats.conj().swapaxes(-1, -2))  # exactly Hermitian
     return HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam,
-                      active=np.ones(m, dtype=bool), cost_trace=[])
+                      active=np.ones(m, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ def test_e_step_flat_matches_dense_oracle():
     m = kd.size
     gamma = rng.uniform(0.05, 1.0, size=m)
     state = HMsblState(gamma=gamma, b_mats=np.ones((m, 1, 1), dtype=complex),
-                       noise_var=0.07, active=np.ones(m, dtype=bool), cost_trace=[])
+                       noise_var=0.07, active=np.ones(m, dtype=bool))
     post = e_step(y, state, kd)
     mu_o, var_o = dense_flat_posterior(y.y, kd.matrix, gamma, 0.07)
     assert np.max(np.abs(post.mu - mu_o)) < 1e-10
@@ -143,9 +144,9 @@ def test_update_gamma_diagonal_example():
     state = HMsblState(
         gamma=np.array([1.0]),
         b_mats=(np.eye(2, dtype=complex) / np.sqrt(2))[None],
-        noise_var=0.1, active=np.array([True]), cost_trace=[])
-    post = Posterior(mu=np.zeros((2, 4), dtype=complex),
-                     sigma_blocks=np.diag([a, b]).astype(complex)[None])
+        noise_var=0.1, active=np.array([True]))
+    post = SimpleNamespace(mu=np.zeros((2, 4), dtype=complex),
+                           sigma_blocks=np.diag([a, b]).astype(complex)[None])
     got = update_gamma(post, state, n_snapshots=4)
     assert got[0] == pytest.approx(np.sqrt(2) * (a + b) / 2, rel=1e-8)
 
@@ -158,8 +159,8 @@ def test_update_gamma_fixed_point():
     bmat /= np.linalg.norm(bmat, "fro")
     c = 2.37
     state = HMsblState(gamma=np.array([1.0]), b_mats=bmat[None], noise_var=0.1,
-                       active=np.array([True]), cost_trace=[])
-    post = Posterior(mu=np.zeros((3, 5), dtype=complex), sigma_blocks=(c * bmat)[None])
+                       active=np.array([True]))
+    post = SimpleNamespace(mu=np.zeros((3, 5), dtype=complex), sigma_blocks=(c * bmat)[None])
     got = update_gamma(post, state, n_snapshots=5)
     assert got[0] == pytest.approx(c, rel=1e-7)
 
@@ -170,8 +171,8 @@ def test_update_gamma_uses_snapshot_average():
     mu = np.column_stack([m, m])
     state = HMsblState(gamma=np.array([1.0]),
                        b_mats=np.eye(2, dtype=complex)[None] / np.sqrt(2),
-                       noise_var=0.1, active=np.array([True]), cost_trace=[])
-    post = Posterior(mu=mu, sigma_blocks=np.zeros((1, 2, 2), dtype=complex))
+                       noise_var=0.1, active=np.array([True]))
+    post = SimpleNamespace(mu=mu, sigma_blocks=np.zeros((1, 2, 2), dtype=complex))
     got = update_gamma(post, state, n_snapshots=2)
     want = np.sqrt(2) * np.trace(np.outer(m, m.conj())).real / 2
     assert got[0] == pytest.approx(want, rel=1e-8)
@@ -180,9 +181,9 @@ def test_update_gamma_uses_snapshot_average():
 def test_update_gamma_block_size_one():
     # b = 1: gamma_i = moment_i / (B_i + loading), no matrix solve
     state = HMsblState(gamma=np.ones(3), b_mats=np.array([0.5, 2.0, 1.0])[:, None, None] + 0j,
-                       noise_var=0.1, active=np.array([True, True, False]), cost_trace=[])
-    post = Posterior(mu=np.zeros((3, 2), dtype=complex),
-                     sigma_blocks=np.array([0.3, 0.8, 0.4])[:, None, None] + 0j)
+                       noise_var=0.1, active=np.array([True, True, False]))
+    post = SimpleNamespace(mu=np.zeros((3, 2), dtype=complex),
+                           sigma_blocks=np.array([0.3, 0.8, 0.4])[:, None, None] + 0j)
     got = update_gamma(post, state, n_snapshots=2, b_loading=1e-3)
     np.testing.assert_allclose(got, [0.3 / 0.501, 0.8 / 2.001, 0.0], rtol=1e-14)
 
@@ -191,9 +192,9 @@ def test_update_b_identity_moment():
     # [DERIVED] moment I (2x2), gamma 1 -> B = I / sqrt(2)
     state = HMsblState(gamma=np.array([1.0]),
                        b_mats=np.eye(2, dtype=complex)[None],
-                       noise_var=0.1, active=np.array([True]), cost_trace=[])
-    post = Posterior(mu=np.zeros((2, 3), dtype=complex),
-                     sigma_blocks=np.eye(2, dtype=complex)[None])
+                       noise_var=0.1, active=np.array([True]))
+    post = SimpleNamespace(mu=np.zeros((2, 3), dtype=complex),
+                           sigma_blocks=np.eye(2, dtype=complex)[None])
     got = update_b(post, state, n_snapshots=3)
     np.testing.assert_allclose(got[0], np.eye(2) / np.sqrt(2), atol=1e-14)
 
@@ -203,8 +204,8 @@ def test_update_b_rank_one_moment():
     m = np.array([1.0, 1j, -0.5], dtype=complex)
     state = HMsblState(gamma=np.array([0.9]),
                        b_mats=np.eye(3, dtype=complex)[None] / np.sqrt(3),
-                       noise_var=0.1, active=np.array([True]), cost_trace=[])
-    post = Posterior(mu=m[:, None], sigma_blocks=np.zeros((1, 3, 3), dtype=complex))
+                       noise_var=0.1, active=np.array([True]))
+    post = SimpleNamespace(mu=m[:, None], sigma_blocks=np.zeros((1, 3, 3), dtype=complex))
     got = update_b(post, state, n_snapshots=1)
     want = np.outer(m, m.conj()) / (np.linalg.norm(m) ** 2)
     np.testing.assert_allclose(got[0], want, atol=1e-14)
@@ -216,8 +217,8 @@ def test_update_b_keeps_inactive_blocks():
     state = _random_state(rng, m=3, b=2)
     state.active[1] = False
     old = state.b_mats.copy()
-    post = Posterior(mu=rng.standard_normal((6, 4)) + 0j,
-                     sigma_blocks=np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy())
+    post = SimpleNamespace(mu=rng.standard_normal((6, 4)) + 0j,
+                           sigma_blocks=np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy())
     got = update_b(post, state, n_snapshots=4)
     np.testing.assert_array_equal(got[1], old[1])
 
@@ -231,7 +232,7 @@ def test_update_lambda_matches_dense_formula():
     y, pair = _random_instance(rng, nx=3, ny=2, mu=5)
     state = _random_state(rng, m=5, b=2, lam=0.3)
     post = e_step(y, state, pair)
-    got = update_lambda(y, post, state, pair)
+    got = update_lambda(y, post.misfit, state, pair)
 
     n, L = y.size, y.n_snapshots
     d = np.kron(pair.phi_u, np.eye(2))
@@ -250,9 +251,9 @@ def test_update_lambda_floor():
     d = np.kron(pair.phi_u, np.eye(2))
     y = SnapshotSet(y=d @ x, nx=2, ny=2, n_snapshots=4)
     state = HMsblState(gamma=np.zeros(3), b_mats=_random_state(rng, 3, 2).b_mats,
-                       noise_var=0.1, active=np.ones(3, dtype=bool), cost_trace=[])
-    post = Posterior(mu=x, sigma_blocks=np.zeros((3, 2, 2), dtype=complex))
-    got = update_lambda(y, post, state, pair)
+                       noise_var=0.1, active=np.ones(3, dtype=bool))
+    misfit = float(np.linalg.norm(y.y - d @ x, "fro") ** 2)
+    got = update_lambda(y, misfit, state, pair)
     floor = 1e-12 * np.linalg.norm(y.y, "fro") ** 2 / (4 * 4)  # L = 4, n = 4 rows
     assert got == pytest.approx(floor, rel=1e-9)
 
@@ -263,10 +264,9 @@ def test_update_lambda_penalty_saturates():
     y, pair = _random_instance(rng, nx=3, ny=2, mu=5)
     state = _random_state(rng, m=5, b=2, lam=0.25)
     state.gamma = np.full(5, 1e14)
-    post = Posterior(mu=np.zeros((10, y.n_snapshots), dtype=complex),
-                     sigma_blocks=np.zeros((5, 2, 2), dtype=complex))
-    got = update_lambda(y, post, state, pair)
-    resid = np.linalg.norm(y.y, "fro") ** 2 / (y.size * y.n_snapshots)
+    misfit = float(np.linalg.norm(y.y, "fro") ** 2)  # mu = 0
+    got = update_lambda(y, misfit, state, pair)
+    resid = misfit / (y.size * y.n_snapshots)
     assert got == pytest.approx(resid + 0.25, rel=1e-6)
 
 
@@ -280,7 +280,7 @@ def test_ml_cost_identity_case():
     y, pair = _random_instance(rng)
     state = HMsblState(gamma=np.zeros(5),
                        b_mats=np.broadcast_to(np.eye(2, dtype=complex) / np.sqrt(2), (5, 2, 2)).copy(),
-                       noise_var=1.0, active=np.ones(5, dtype=bool), cost_trace=[])
+                       noise_var=1.0, active=np.ones(5, dtype=bool))
     got = ml_cost(y, state, pair)
     assert got == pytest.approx(np.trace(sample_covariance(y)).real, rel=1e-12)
 
@@ -301,7 +301,7 @@ def test_ml_cost_flat_matches_dense_oracle():
     kd = kron_dictionary(pair)
     gamma = rng.uniform(0.01, 0.5, size=kd.size)
     state = HMsblState(gamma=gamma, b_mats=np.ones((kd.size, 1, 1), dtype=complex),
-                       noise_var=0.15, active=np.ones(kd.size, dtype=bool), cost_trace=[])
+                       noise_var=0.15, active=np.ones(kd.size, dtype=bool))
     got = ml_cost(y, state, kd)
     want = dense_flat_cost(sample_covariance(y), kd.matrix, gamma, 0.15)
     assert got == pytest.approx(want, rel=1e-10)
@@ -353,10 +353,6 @@ def test_operator_kernels_match_dense_products(nx, ny, m, kind):
     want = (d.conj().T @ w).reshape(n_blocks, b, n_snap)
     assert np.max(np.abs(op.adjoint_blocks(w) - want)) < 1e-12
 
-    blocks = _cplx(rng, n_blocks, b, n_snap)
-    blocks[~state.active] = 0.0
-    want = d @ blocks.reshape(n_blocks * b, n_snap)
-    assert np.max(np.abs(op.forward(blocks) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (1, 4, 6), (5, 1, 9), (1, 1, 4)])
@@ -385,7 +381,7 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     # run() works on the active blocks alone and scatters back to all of them
     cop, live = solver._active_part(op, state)
     assert cop.n_blocks == live.n_blocks == state.active.sum()
-    marginal = solver._marginal(cop, live, sample_covariance(data))
+    post = solver._marginal(cop, live, data, sample_covariance(data))
     if kind == "kron":
         mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
         cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
@@ -395,10 +391,9 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
         cost_o = dense_flat_cost(sample_covariance(y), d, gamma, 0.3)
     mu_b = mu_o.reshape(n_blocks, b, n_snap)
     moments_o = sig_o + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
-    assert np.max(np.abs(cop.scatter(solver._moments(cop, marginal)) - moments_o)) < 1e-10
-    assert marginal.cost == pytest.approx(cost_o, rel=1e-10)
+    assert np.max(np.abs(cop.scatter(solver._moments(cop, post)) - moments_o)) < 1e-10
+    assert post.cost == pytest.approx(cost_o, rel=1e-10)
 
-    post = solver.Posterior._conditioned(cop, data, marginal)
     misfit_o = np.linalg.norm(y.y - d @ mu_o, "fro") ** 2
     assert post.misfit == pytest.approx(misfit_o, rel=1e-10)
     assert np.max(np.abs(post.sigma_blocks - sig_o)) < 1e-10
@@ -406,7 +401,7 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
         assert np.max(np.abs(post.mu - mu_o)) < 1e-10
     g = (a * gamma) @ a.conj().T
     pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(a.shape[0]), g)).real / a.shape[0]
-    got = update_lambda(data, post, live, cop)
+    got = update_lambda(data, post.misfit, live, cop)
     assert got == pytest.approx(misfit_o / (n * n_snap) + pen, rel=1e-10)
 
 
@@ -430,7 +425,7 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     y = _cplx(rng, n, 4)
     scm = y @ y.conj().T / 4
 
-    marginal = solver._marginal(op, state, scm)
+    marginal = solver._marginal(op, state, SnapshotSet(y=y, nx=nx, ny=ny, n_snapshots=4), scm)
     sy = d @ block_diag_prior(state.gamma, state.b_mats) @ d.conj().T + 0.2 * np.eye(n)
     r = np.linalg.inv(sy)
     sign, logdet = np.linalg.slogdet(sy)
@@ -453,9 +448,15 @@ def test_marginal_raises_on_an_indefinite_or_non_finite_sigma_y(case):
     if case == "inf power":
         state.gamma[1], state.noise_var = np.inf, 0.1
     y = _cplx(rng, 6, 8)
+    data = SnapshotSet(y=y, nx=3, ny=2, n_snapshots=8)
     # inf * 0j warns in numpy's own arithmetic before LAPACK sees Sigma_y
-    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not positive definite|non-finite"):
-        solver._marginal(op, state, y @ y.conj().T / 8)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not positive definite|non-finite") as err:
+        solver._marginal(op, state, data, y @ y.conj().T / 8)
+    if case == "lam 1e-30":
+        # the message names the noise variance against the scale of Sigma_y
+        sy = op.signal_cov(solver._scaled_prior(state))  # + 1e-30 I changes no digit
+        scale = float(np.trace(sy).real) / 6
+        assert f"lam = 1e-30, tr(Sigma_y)/n = {scale:.3g})" in str(err.value)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -546,19 +547,19 @@ def test_run_posterior_is_formed_on_first_access(monkeypatch):
 # pruning
 
 
-def test_prune_relative_and_absolute():
+def test_prune_relative_threshold():
     state = HMsblState(gamma=np.array([1.0, 1e-2, 1e-5, 0.0]),
                        b_mats=np.ones((4, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.ones(4, dtype=bool), cost_trace=[])
-    got = prune(state, HMsblParams(prune_tol=1e-3, prune_mode="relative"))
+                       noise_var=0.1, active=np.ones(4, dtype=bool))
+    got = prune(state, HMsblParams(prune_tol=1e-3))
     np.testing.assert_array_equal(got, [True, True, False, False])
-    got = prune(state, HMsblParams(prune_tol=5e-2, prune_mode="absolute"))
-    np.testing.assert_array_equal(got, [True, False, False, False])
+    state.gamma *= 1e6  # the threshold scales with the largest power
+    np.testing.assert_array_equal(prune(state, HMsblParams(prune_tol=1e-3)), got)
 
 
 def test_prune_zero_tol_disables():
     state = HMsblState(gamma=np.array([1.0, 0.0]), b_mats=np.ones((2, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.array([True, False]), cost_trace=[])
+                       noise_var=0.1, active=np.array([True, False]))
     got = prune(state, HMsblParams(prune_tol=0.0))
     np.testing.assert_array_equal(got, [True, False])
 
@@ -566,16 +567,17 @@ def test_prune_zero_tol_disables():
 def test_prune_is_permanent():
     # a deactivated block stays out even if its stale gamma is large
     state = HMsblState(gamma=np.array([5.0, 1.0]), b_mats=np.ones((2, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.array([False, True]), cost_trace=[])
+                       noise_var=0.1, active=np.array([False, True]))
     got = prune(state, HMsblParams(prune_tol=1e-3))
     np.testing.assert_array_equal(got, [False, True])
 
 
 def test_prune_all_would_die():
-    state = HMsblState(gamma=np.array([0.0, 0.0]), b_mats=np.ones((2, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.ones(2, dtype=bool), cost_trace=[])
-    with pytest.raises(SolverError):
-        prune(state, HMsblParams(prune_tol=1e-3, prune_mode="absolute"))
+    # a tolerance above 1 is above even the largest power
+    state = HMsblState(gamma=np.array([1.0, 0.5]), b_mats=np.ones((2, 1, 1), dtype=complex),
+                       noise_var=0.1, active=np.ones(2, dtype=bool))
+    with pytest.raises(SolverError, match="pruning removed every block"):
+        prune(state, HMsblParams(prune_tol=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +704,7 @@ def test_run_m_step_is_gamma_then_b_then_pushback(monkeypatch, nx, ny, flat):
     assert len(moments) == params.max_iters
     assert not all(s.active.all() for s in states[:-1])  # some start partially pruned
     for prev, m, nxt in zip(states, moments, states[1:]):
-        post = Posterior(mu=np.zeros((m.shape[0] * m.shape[1], 1), dtype=complex), sigma_blocks=m)
+        post = SimpleNamespace(mu=np.zeros((m.shape[0] * m.shape[1], 1), dtype=complex), sigma_blocks=m)
         g = update_gamma(post, prev, 1, params.b_loading)
         mid = HMsblState(gamma=g, b_mats=prev.b_mats, noise_var=prev.noise_var,
                          active=prev.active & (g > 0))
@@ -714,6 +716,56 @@ def test_run_m_step_is_gamma_then_b_then_pushback(monkeypatch, nx, ny, flat):
         want = np.where(nxt.active, pushed, 0.0)
         assert np.max(np.abs(nxt.gamma - want)) <= 1e-12 * np.max(want)
         assert np.max(np.abs(nxt.b_mats - b_mats)) <= 1e-12
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_benchmark_probe_calls_match_the_run(flat):
+    # the calls the traced benchmark makes from run()'s on_iteration hook
+    # (perfbench/spans.py, _probe), on the compressed snapshots of a
+    # compressed, adaptive-lambda run that prunes: the reference
+    # update_gamma -> update_b, with update_b's Frobenius scale pushed back
+    # into gamma, reproduces the Gamma_i = gamma_i B_i the iteration reached
+    rng = np.random.default_rng(41)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=16, n_snap=20, k=2)
+    dictionary = kron_dictionary(pair, prune=True) if flat else pair
+    params = HMsblParams(max_iters=30, prune_tol=2e-2, lambda_mode="adaptive",
+                         cost_tol=0.0, compress=True)
+    data = compress_snapshots(y)
+    assert data.y.shape[1] < data.n_snapshots
+    partial, errors, costs = [], [], []
+
+    def probe(it, state, post):
+        fresh = e_step(data, state, dictionary)
+        cost = ml_cost(data, state, dictionary)
+        g = update_gamma(post, state, data.n_snapshots, params.b_loading)
+        b_mats = update_b(post, state, data.n_snapshots)
+        assert cost == fresh.cost and np.isfinite(cost)
+        costs.append(cost)
+
+        mid = HMsblState(gamma=g, b_mats=state.b_mats, noise_var=state.noise_var,
+                         active=state.active & (g > 0))
+        b_mid = update_b(post, mid, data.n_snapshots)
+        moments = solver._moment_blocks(post, state.n_blocks, state.block_size, data.n_snapshots)
+        act = state.active
+        assert not (act & ~mid.active).any()
+        pushed = g[act] * np.linalg.norm(moments[act] / g[act, None, None], axis=(1, 2))
+        got = pushed[:, None, None] * b_mid[act]
+        want = state.gamma[act, None, None] * state.b_mats[act]
+        errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        errors.append(np.max(np.abs(b_mats[act] - state.b_mats[act])))
+        partial.append(not act.all())
+
+    _, _, diag = run(y, dictionary, params, on_iteration=probe)
+    assert len(errors) == 2 * params.max_iters
+    assert any(partial) and not all(partial)
+    assert max(errors) <= 1e-12
+    # where an iteration pruned nothing, ml_cost on the state it left is
+    # the cost run() recorded for it
+    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
+    same = [t for t in range(params.max_iters) if counts[t + 1] == counts[t]]
+    assert same
+    for t in same:
+        assert costs[t] == pytest.approx(diag.cost_trace[t + 1], rel=1e-12)
 
 
 def test_run_drops_a_block_whose_moment_is_zero(monkeypatch):
@@ -800,7 +852,7 @@ def test_run_reuses_factor_exactly():
     def grab(it, state, post):
         states.append(HMsblState(gamma=state.gamma.copy(), b_mats=state.b_mats.copy(),
                                  noise_var=state.noise_var, active=state.active.copy()))
-        posts.append(Posterior(mu=post.mu.copy(), sigma_blocks=post.sigma_blocks.copy()))
+        posts.append(SimpleNamespace(mu=post.mu.copy(), sigma_blocks=post.sigma_blocks.copy()))
 
     run(y, pair, params, on_iteration=grab)
     assert len(posts) == params.max_iters

@@ -1,7 +1,8 @@
 """Summarise paired benchmark runs into a committed BENCH file.
 
     python3 tools/bench_summary.py --label pr6 \\
-        --parent PARENT/perfbench/out --change CHANGE/perfbench/out
+        --parent PARENT/perfbench/out --change CHANGE/perfbench/out \\
+        [--parent-sha SHA --change-sha SHA]
 
 ``--parent`` and ``--change`` are the ``perfbench/out/`` directories of two
 checkouts that ran ``perfbench/run.py --trace 0`` on the same workloads and
@@ -12,7 +13,10 @@ BENCHMARK.json it holds each side's median and quartiles
 (``statistics.quantiles`` with n=4) over the paired runs, the change's
 median over the parent's, and in how many pairs the change read better.
 The environment fingerprint and the git SHA of each side come from the
-result files.  The file records measurements and applies no bound.
+result files.  A checkout exported without its git history records the SHA
+as None; ``--parent-sha``/``--change-sha`` fill it in, and a result file
+that records a different SHA is refused.  The file records measurements and
+applies no bound.
 """
 
 import argparse
@@ -39,6 +43,18 @@ def load_side(directory):
             with open(path, encoding="utf-8") as fh:
                 out[(match["workload"], int(match["seed"]))] = json.load(fh)
     return out
+
+
+def fill_sha(side, sha, name):
+    """Record ``sha`` as the git SHA of every result of ``side`` that has
+    none; a result that records another SHA ends the run."""
+    for (workload, seed), result in sorted(side.items()):
+        recorded = result["fingerprint"].get("git_sha")
+        if recorded is None:
+            result["fingerprint"]["git_sha"] = sha
+        elif recorded != sha:
+            raise SystemExit(f"{name} result {workload}-seed{seed} records git_sha {recorded}, not {sha}")
+    return side
 
 
 def quartiles(values):
@@ -96,12 +112,18 @@ def main(argv=None):
     parser.add_argument("--label", required=True)
     parser.add_argument("--parent", required=True, help="perfbench/out of the parent checkout")
     parser.add_argument("--change", required=True, help="perfbench/out of the changed checkout")
+    parser.add_argument("--parent-sha", help="git SHA the parent's results ran from")
+    parser.add_argument("--change-sha", help="git SHA the change's results ran from")
     parser.add_argument("--out", help="output path (default: BENCH_<label>.json at the root)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    summary = {"label": args.label,
-               **summarise(load_side(args.parent), load_side(args.change), spec["end_to_end"])}
+    parent, change = load_side(args.parent), load_side(args.change)
+    if args.parent_sha:
+        fill_sha(parent, args.parent_sha, "parent")
+    if args.change_sha:
+        fill_sha(change, args.change_sha, "change")
+    summary = {"label": args.label, **summarise(parent, change, spec["end_to_end"])}
     path = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
