@@ -51,13 +51,11 @@ class Grid1D:
         return self.points.size
 
 
-def uniform_grid(m: int, lo: float = -1.0, hi: float = 1.0) -> Grid1D:
-    """Endpoint-inclusive uniform grid of m >= 2 points on [lo, hi]."""
+def uniform_grid(m: int) -> Grid1D:
+    """Endpoint-inclusive uniform grid of m >= 2 points on [-1, 1]."""
     if m < 2:
         raise ValueError(f"uniform grid needs at least 2 points, got {m}")
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise ValueError(f"grid bounds must satisfy -1 <= lo < hi <= 1, got ({lo}, {hi})")
-    return Grid1D(np.linspace(lo, hi, m))
+    return Grid1D(np.linspace(-1.0, 1.0, m))
 
 
 def steering(freq: float, n: int) -> np.ndarray:

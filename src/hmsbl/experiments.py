@@ -23,8 +23,9 @@ import datetime
 import functools
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +56,9 @@ ALGORITHMS = ("hmsbl", "msbl")
 GENERATOR_KINDS = ("grid_product", "random_on_grid")
 
 _REQUIRED = object()
+
+# the defaults of every solvers.<algo> field but lambda_value
+_SOLVER_DEFAULTS = solver.HMsblParams()
 
 # The config schema: one row (JSON path, kind, minimum, default) per field,
 # in the key order of ExperimentConfig.to_dict.
@@ -95,12 +99,13 @@ _FIELDS = (
     ("algorithms", list(ALGORITHMS), None, list(ALGORITHMS)),
     ("solvers", "object", None, {}),
     ("solvers.<algo>", "object", None, {}),
-    ("solvers.<algo>.max_iters", "int", 1, 500),
-    ("solvers.<algo>.prune_tol", "number", 0, 1e-3),
-    ("solvers.<algo>.cost_tol", "number", 0, 0.0),
-    ("solvers.<algo>.lambda_mode", ("fixed", "adaptive"), None, "fixed"),
+    ("solvers.<algo>.max_iters", "int", 1, _SOLVER_DEFAULTS.max_iters),
+    ("solvers.<algo>.prune_tol", "number", 0, _SOLVER_DEFAULTS.prune_tol),
+    ("solvers.<algo>.cost_tol", "number", 0, _SOLVER_DEFAULTS.cost_tol),
+    ("solvers.<algo>.lambda_mode", ("fixed", "adaptive"), None, _SOLVER_DEFAULTS.lambda_mode),
+    # config-only: "oracle" is 10^(-snr_db/10), and HMsblParams has no SNR
     ("solvers.<algo>.lambda_value", "lambda", None, "oracle"),
-    ("solvers.<algo>.compress", "bool", None, True),
+    ("solvers.<algo>.compress", "bool", None, _SOLVER_DEFAULTS.compress),
     ("trials", "int", 1, 1),
     ("timing", "object", None, {}),
     ("timing.repetitions", "int", 1, 5),
@@ -269,6 +274,11 @@ def _check_value(errs, value, at, path, kind, minimum):
     if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
         errs.append(f"{at}: expected {'an integer' if kind == 'int' else 'a number'}, got {value!r}")
         return None
+    # json.loads reads NaN, Infinity and -Infinity, and float() overflows on
+    # an integer literal beyond the float range
+    if kind != "int" and not abs(value) <= sys.float_info.max:
+        errs.append(f"{at}: expected a finite number, got {value!r}")
+        return None
     if kind == "lambda" and not value > 0:
         errs.append(f"{at}: must be > 0 or 'oracle'")
         return None
@@ -295,9 +305,9 @@ def validate_config(text: str):
     doc = _check_object(errs, raw, "", "")
     if doc is None:
         return None, errs
-    fields = {name: (doc[group] if group else doc).get(name) for group, name in _attributes()}
-    fields["solvers"] = {algo: fields["solvers"][algo] for algo in fields["algorithms"]}
-    config = ExperimentConfig(**fields)
+    attrs = {name: (doc[group] if group else doc).get(name) for group, name in _attributes()}
+    attrs["solvers"] = {algo: attrs["solvers"][algo] for algo in attrs["algorithms"]}
+    config = ExperimentConfig(**attrs)
     errs = _cross_validate(config)
     return (None, errs) if errs else (config, [])
 
@@ -407,21 +417,14 @@ def _draw_random_sources(k, min_sep, grid_u, grid_v, rng, max_tries=2000):
     raise ConfigError([f"scene.generator: could not place {k} sources with separation {min_sep}"])
 
 
-def _params_for(config: ExperimentConfig, algo: str, overrides=None) -> solver.HMsblParams:
-    spec = dict(config.solvers[algo])
-    if overrides:
-        spec.update(overrides)
-    lam = spec["lambda_value"]
-    if spec["lambda_mode"] == "fixed" and lam == "oracle":
-        lam = noise_power(config.snr_db)
-    return solver.HMsblParams(
-        max_iters=spec["max_iters"],
-        prune_tol=spec["prune_tol"],
-        cost_tol=spec["cost_tol"],
-        lambda_mode=spec["lambda_mode"],
-        lambda_value=lam if spec["lambda_mode"] == "fixed" else 1e-2,
-        compress=spec["compress"],
-    )
+def _params_for(config: ExperimentConfig, algo: str, **overrides) -> solver.HMsblParams:
+    """The solver parameters of ``algo``'s spec in ``config``, with
+    ``overrides`` applied and an "oracle" value resolved to the noise
+    variance of ``config.snr_db``."""
+    spec = {**config.solvers[algo], **overrides}
+    oracle = noise_power(config.snr_db)
+    return solver.HMsblParams(**{key: oracle if value == "oracle" else value
+                                 for key, value in spec.items()})
 
 
 def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int) -> PeakAllocation:
@@ -520,7 +523,7 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
     truth = np.array([[s.u, s.v] for s in scene.sources])
     curves, errors = {}, {}
     for algo in config.algorithms:
-        params = _params_for(config, algo, overrides={"max_iters": horizon})
+        params = _params_for(config, algo, max_iters=horizon)
         curve, failures = [], []
         try:
             dictionary, estimate = _algorithm(config, algo, pair, scene.k)
@@ -661,13 +664,13 @@ def run_bench(config: ExperimentConfig):
     y = synthesize_snapshots(scene, ura)
     grid_u = uniform_grid(config.mu)
     sweep = config.mv_sweep or [config.mv]
-    overrides = {"max_iters": config.timing["iterations"], "prune_tol": 0.0, "cost_tol": 0.0}
     runs = {algo: [] for algo in config.algorithms}
     for mv in sweep:
         pair = dictionary_pair(ura, grid_u, uniform_grid(mv))
         for algo in config.algorithms:
             dictionary, _ = _algorithm(config, algo, pair, scene.k)
-            params = _params_for(config, algo, overrides=overrides)
+            params = _params_for(config, algo, max_iters=config.timing["iterations"],
+                                 prune_tol=0.0, cost_tol=0.0)
             runs[algo].append(functools.partial(solver.run, y, dictionary, params))
 
     timed = {algo: _time_rounds(fns, config.timing["repetitions"]) for algo, fns in runs.items()}
@@ -796,18 +799,8 @@ class ResultRecord:
     errors: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-            "trials": self.trials,
-            "aggregate": self.aggregate,
-            "timing": self.timing,
-            "scatter": self.scatter,
-            "convergence": self.convergence,
-            "errors": self.errors,
-        }
+        # a shallow copy: asdict would deep-copy every trial
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def comparable_dict(self) -> dict:
         """The record with timestamps and wall-clock fields removed; two runs
@@ -874,11 +867,9 @@ def emit_plot_data(record: ResultRecord, kind: str = "all", out_dir="."):
 
 
 def _csv_rows(record: ResultRecord, kind: str):
-    if kind == "timing":
-        return [[r["mv"], r["algorithm"], r["seconds"], r["per_iteration_seconds"]]
-                for r in record.timing]
-    if kind == "scatter":
-        return [[r["u"], r["v"], r["is_truth"], r["algorithm"]] for r in record.scatter]
+    if kind != "convergence":  # rows of the record, read through the header
+        header = _CSV_LAYOUT[kind][1]
+        return [[r[key] for key in header] for r in getattr(record, kind)]
     rows = []
     for algo, curve in record.convergence.items():
         rows.extend([it, rmse, algo] for it, rmse in curve)

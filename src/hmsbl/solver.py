@@ -48,7 +48,7 @@ a posterior are computed only when first read.
 import copy
 import math
 import time
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,7 +86,8 @@ class DegenerateInputError(ValueError):
 
 @dataclass
 class HMsblParams:
-    """Knobs for one EM run.
+    """Knobs for one EM run.  These defaults are also a config's: a
+    ``solvers.<algo>`` spec that leaves a field out gets the value here.
 
     ``lambda_mode`` is "fixed" (use ``lambda_value``) or "adaptive"
     (re-estimate the noise variance each iteration).  ``prune_tol`` is a
@@ -97,13 +98,13 @@ class HMsblParams:
     result does not depend on it, and the config schema does not set it.
     """
 
-    max_iters: int = 200
+    max_iters: int = 500
     prune_tol: float = 1e-3
     b_loading: float = 1e-10
-    cost_tol: float = 1e-8
+    cost_tol: float = 0.0
     lambda_mode: str = "fixed"
     lambda_value: float = 1e-2
-    compress: bool = False
+    compress: bool = True
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -122,18 +123,12 @@ class HMsblParams:
 
 @dataclass
 class HMsblState:
-    """Mutable solver state: block powers, correlations, noise variance.
-
-    A run's cost trace is ``RunDiagnostics.cost_trace``.  ``cost_trace`` is
-    an init-only argument, accepted and ignored, so that code written when
-    the state held the trace still constructs states.
-    """
+    """Mutable solver state: block powers, correlations, noise variance."""
 
     gamma: np.ndarray
     b_mats: np.ndarray
     noise_var: float
     active: np.ndarray
-    cost_trace: InitVar[object] = None
 
     @property
     def n_blocks(self) -> int:
@@ -162,7 +157,6 @@ class Posterior:
     op: object
     y: np.ndarray  # the snapshot columns mu is formed for
     scaled: np.ndarray  # gamma_i B_i of the operator's blocks
-    noise_var: float
     rinv: np.ndarray
     rsr: np.ndarray
     cost: float
@@ -416,8 +410,7 @@ def _marginal(op, state: HMsblState, data: SnapshotSet, scm: np.ndarray) -> Post
         raise SolverError(f"non-finite marginal-likelihood cost {cost}")
     rsr = rs @ rinv
     misfit = lam ** 2 * data.n_snapshots * float(np.trace(rsr).real)
-    return Posterior(op=op, y=data.y, scaled=scaled, noise_var=lam, rinv=rinv, rsr=rsr,
-                     cost=cost, misfit=misfit)
+    return Posterior(op=op, y=data.y, scaled=scaled, rinv=rinv, rsr=rsr, cost=cost, misfit=misfit)
 
 
 def _moments(op, m: Posterior) -> np.ndarray:

@@ -120,7 +120,7 @@ def test_criterion_02_posterior_matches_dense_conditioning():
             b_mats = np.array([_hermitian_psd(rng, ny) for _ in range(gamma.size)])
             lam = float(rng.uniform(0.05, 0.5))
             state = HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam,
-                               active=np.ones(gamma.size, dtype=bool), cost_trace=[])
+                               active=np.ones(gamma.size, dtype=bool))
             ymat = rng.standard_normal((m_rows, L)) + 1j * rng.standard_normal((m_rows, L))
             y = SnapshotSet(y=ymat, nx=nx, ny=ny, n_snapshots=L)
             post = e_step(y, state, pair)

@@ -12,9 +12,12 @@ import pytest
 
 from hmsbl.dictionary import uniform_grid
 from hmsbl.experiments import (
+    ALGORITHMS,
+    _FIELDS,
     ConfigError,
     ResultRecord,
     _hmsbl_allocation,
+    _params_for,
     _paired_minima,
     _relative_spread,
     _time_rounds,
@@ -26,7 +29,8 @@ from hmsbl.experiments import (
     scene_for_trial,
     validate_config,
 )
-from hmsbl.solver import SolverError
+from hmsbl.signal_model import noise_power
+from hmsbl.solver import HMsblParams, SolverError
 
 
 def _base_config(**over):
@@ -296,6 +300,50 @@ def test_validate_rejects_unknown_keys_at_every_level(edit, error):
     config, errors = validate_config(_dumps(cfg))
     assert config is None
     assert errors == [error]
+
+
+def _number_paths():
+    """One concrete JSON path for every "number" and "lambda" row of the
+    schema, with ``<algo>`` standing for each algorithm."""
+    for path, kind, *_ in _FIELDS:
+        if kind in ("number", "lambda"):
+            concrete = path.replace("[]", "[0]").replace(":random_on_grid", "")
+            algos = ALGORITHMS if "<algo>" in path else ("",)
+            yield from (concrete.replace("<algo>", algo) for algo in algos)
+
+
+def _config_with(path, value):
+    """The base config, with a random_on_grid generator for a generator
+    path, and ``value`` placed at ``path``."""
+    cfg = _base_config()
+    if path.startswith("scene.generator."):
+        _with_generator(cfg, kind="random_on_grid", k=1)
+    *parents, last = path.replace("[0]", ".0").split(".")
+    node = cfg
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+    node[last] = value
+    return cfg
+
+
+# NaN, Infinity and -Infinity, which json.loads accepts, and an integer
+# literal that float() cannot convert
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("path", list(_number_paths()))
+def test_validate_rejects_non_finite_numbers(path, value):
+    config, errors = validate_config(_dumps(_config_with(path, value)))
+    assert config is None
+    assert errors == [f"{path}: expected a finite number, got {value!r}"]
+
+
+def test_an_empty_solver_spec_takes_the_solver_defaults():
+    config, errors = validate_config(_dumps(_base_config(solvers={"hmsbl": {}})))
+    assert errors == []
+    assert list(config.to_dict()["solvers"]["hmsbl"].items()) == [
+        ("max_iters", 500), ("prune_tol", 0.001), ("cost_tol", 0.0),
+        ("lambda_mode", "fixed"), ("lambda_value", "oracle"), ("compress", True)]
+    assert _params_for(config, "hmsbl") == HMsblParams(lambda_value=noise_power(20.0))
 
 
 def test_config_error_survives_pickling():
@@ -585,6 +633,16 @@ def test_cli_validate_unknown_keys_exits_2(tmp_path):
     assert r.stdout == ""
     assert r.stderr.splitlines() == [f"invalid config {p}: config: unknown keys ['trails']",
                                      f"invalid config {p}: array: unknown keys ['nz']"]
+
+
+def test_cli_validate_non_finite_number_exits_2_on_one_line(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(_config_with("scene.sources[0].u", float("nan"))))
+    r = _run_cli(["validate", str(p)])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"invalid config {p}: scene.sources[0].u: expected a finite number, got nan"]
 
 
 def test_cli_validate_repeated_algorithm_exits_2(tmp_path):

@@ -42,7 +42,7 @@ def test_msbl_recovers_on_grid_sources():
                   snr_db=20, num_snapshots=60, seed=2)
     y = synthesize_snapshots(scene, cfg)
     kd = kron_dictionary(dictionary_pair(cfg, gu, gv))
-    state, post, diag = run(y, kd, HMsblParams(max_iters=150, lambda_value=0.01))
+    state, post, diag = run(y, kd, HMsblParams(max_iters=150, lambda_value=0.01, compress=False))
     got = set(msbl_estimates(state, kd.column_labels, 2))
     assert got == set(truth)
     assert post.mu.shape[1] == y.n_snapshots
