@@ -10,7 +10,6 @@ import numpy as np
 
 from hmsbl import (
     HMsblParams,
-    PeakAllocation,
     Scene,
     Source,
     UraConfig,
@@ -49,18 +48,16 @@ print(f"cost: {diag.cost_trace[0]:.2f} -> {diag.cost_trace[-1]:.2f}")
 masked = np.where(state.active, state.gamma, 0.0)
 sel = select_peaks(masked, grid_u, k_peaks=len(truth))
 print(f"\npeak blocks: {sel.indices} (fallback={sel.fallback})")
-alloc = PeakAllocation(tuple((i, 1) for i in sel.indices))
-est = pair_estimates(state, grid_u, alloc)
+pairs, provenance = pair_estimates(state, grid_u, [(i, 1) for i in sel.indices])
 
-report = match_and_rmse(est, scene)
+report = match_and_rmse(pairs, truth)
 print(f"\n{'true u':>9} {'true v':>9} | {'est u':>9} {'est v':>9} {'err':>9}")
-arr = est.as_array()
 for i, s in enumerate(scene.sources):
-    e = arr[report.assignment[i]]
+    e = pairs[report.assignment[i]]
     err = np.sqrt(report.per_source_sq_err[i])
     print(f"{s.u:9.4f} {s.v:9.4f} | {e[0]:9.4f} {e[1]:9.4f} {err:9.2e}")
 print(f"\nrmse {report.rmse:.2e}; u error is grid-limited "
       f"(spacing {grid_u.points[1] - grid_u.points[0]:.4f}), v error is not")
-for p in est.provenance:
-    print(f"block {p.block}: eigen gap {p.eigen_gap:.3f}, "
-          f"low confidence={p.low_confidence}")
+for p in provenance:
+    print(f"block {p['block']}: eigen gap {p['eigen_gap']:.3f}, "
+          f"low confidence={p['low_confidence']}")

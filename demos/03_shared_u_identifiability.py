@@ -10,7 +10,6 @@ import numpy as np
 
 from hmsbl import (
     HMsblParams,
-    PeakAllocation,
     Scene,
     Source,
     UraConfig,
@@ -49,14 +48,14 @@ print(f"selected u blocks: {[float(round(grid_u.points[i], 4)) for i in sel.indi
       f"(truth: {[float(round(u, 4)) for u in u_cols]})")
 
 # five v roots per block: count must leave a noise subspace, 5 <= ny - 1
-est = pair_estimates(state, grid_u, PeakAllocation(tuple((i, 5) for i in sel.indices)))
-report = match_and_rmse(est, scene)
+pairs, _ = pair_estimates(state, grid_u, [(i, 5) for i in sel.indices])
+report = match_and_rmse(pairs, [(s.u, s.v) for s in sources])
 worst = np.sqrt(max(report.per_source_sq_err))
 print(f"\nall 10 sources matched: rmse {report.rmse:.2e}, "
       f"worst single-source error {worst:.2e}")
 
 by_block = {}
-for (u, v) in est.pairs:
+for u, v in pairs.tolist():
     by_block.setdefault(round(u, 4), []).append(float(round(v, 4)))
 for u, vs in sorted(by_block.items()):
     print(f"  u={u:+.4f}: v = {sorted(vs)}")

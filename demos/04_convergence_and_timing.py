@@ -22,7 +22,6 @@ from hmsbl import (
     run,
     select_peaks,
     pair_estimates,
-    PeakAllocation,
     synthesize_snapshots,
     uniform_grid,
 )
@@ -53,21 +52,20 @@ pair = dictionary_pair(ura, grid_u, uniform_grid(100))
 kd = kron_dictionary(pair, prune=True)
 horizon = 1200
 k = len(truth)
-tr = np.array(truth)
 
 block_curve = []
 def watch_block(it, state, post):
     masked = np.where(state.active, state.gamma, 0.0)
     sel = select_peaks(masked, grid_u, k)
     try:
-        est = pair_estimates(state, grid_u, PeakAllocation(tuple((i, 1) for i in sel.indices)))
-        block_curve.append(match_and_rmse(est, tr).rmse)
+        pairs, _ = pair_estimates(state, grid_u, [(i, 1) for i in sel.indices])
+        block_curve.append(match_and_rmse(pairs, truth).rmse)
     except ValueError:
         block_curve.append(np.nan)
 
 flat_curve = []
 def watch_flat(it, state, post):
-    flat_curve.append(match_and_rmse(msbl_estimates(state, kd.column_labels, k), tr).rmse)
+    flat_curve.append(match_and_rmse(msbl_estimates(state, kd.column_labels, k), truth).rmse)
 
 long = HMsblParams(max_iters=horizon, prune_tol=1e-3, cost_tol=0.0,
                    lambda_value=lam, compress=True)

@@ -61,8 +61,6 @@ from .solver import (
 )
 from .msbl import msbl_estimates
 from .pairing import (
-    PairedEstimates,
-    PeakAllocation,
     PeakSelection,
     RootMusicEstimate,
     pair_estimates,
@@ -100,7 +98,7 @@ __all__ = [
     # flat baseline
     "msbl_estimates",
     # v extraction
-    "PeakSelection", "PeakAllocation", "RootMusicEstimate", "PairedEstimates",
+    "PeakSelection", "RootMusicEstimate",
     "select_peaks", "root_music_v", "pair_estimates",
     # metrics
     "MatchReport", "MatchCountError", "match_and_rmse",

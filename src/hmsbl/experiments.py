@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ._version import __version__
 from .dictionary import Grid1D, uniform_grid, dictionary_pair, kron_dictionary
 from .metrics import MatchCountError, match_and_rmse
 from .msbl import msbl_estimates
-from .pairing import PeakAllocation, pair_estimates, select_peaks
+from .pairing import pair_estimates, select_peaks
 from .signal_model import Scene, Source, UraConfig, noise_power, synthesize_snapshots
 
 __all__ = [
@@ -329,12 +329,18 @@ def _cross_validate(config):
             errs.extend(f"solvers.{algo}.max_iters: below the largest budget {max(config.budgets)}"
                         for algo, spec in config.solvers.items()
                         if spec["max_iters"] < max(config.budgets))
+    try:
+        in_range = noise_power(config.snr_db) > 0.0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        errs.append(f"scene.snr_db: the noise power 10^(-snr_db/10) is outside the float "
+                    f"range, got {config.snr_db}")
     for i, source in enumerate(config.sources or ()):
-        u, v = source["u"], source["v"]
-        if abs(u) > 1 or abs(v) > 1:
-            errs.append(f"scene.sources[{i}]: components must lie in [-1, 1]")
-        elif u**2 + v**2 > 1.0 + 1e-12:
-            errs.append(f"scene.sources[{i}]: u^2 + v^2 = {u**2 + v**2} exceeds 1")
+        try:
+            Source(source["u"], source["v"])
+        except ValueError as exc:
+            errs.append(f"scene.sources[{i}]: {exc}")
     gen = config.generator
     if gen is not None and gen["kind"] == "grid_product":
         grid_u = uniform_grid(config.mu)
@@ -427,40 +433,39 @@ def _params_for(config: ExperimentConfig, algo: str, **overrides) -> solver.HMsb
                                  for key, value in spec.items()})
 
 
-def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int) -> PeakAllocation:
-    """Allocation of v counts to blocks.  Explicit config counts go to the
-    strongest peaks in order; otherwise one source per peak, falling back to
-    spreading the counts evenly over the strongest active blocks."""
+def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int):
+    """Allocation of v counts to blocks, as (block, count) pairs.  Explicit
+    config counts go to the strongest peaks in order; otherwise one source
+    per peak, falling back to spreading the counts evenly over the strongest
+    active blocks."""
     masked = np.where(state.active, state.gamma, 0.0)
     if config.allocation is not None:
         sel = select_peaks(masked, grid_u, len(config.allocation))
-        return PeakAllocation(tuple(zip(sel.indices, config.allocation)))
+        return list(zip(sel.indices, config.allocation))
     sel = select_peaks(masked, grid_u, min(k, grid_u.size))
     idx = [i for i in sel.indices if state.active[i] and state.gamma[i] > 0]
     if len(idx) >= k:
-        return PeakAllocation(tuple((i, 1) for i in idx[:k]))
+        return [(i, 1) for i in idx[:k]]
     # fewer usable peaks than sources: spread the counts evenly over the
     # active blocks, stronger ones first; a block holds at most ny - 1
     order = sorted(np.flatnonzero(state.active), key=lambda i: -state.gamma[i])
     n = len(order)
     if k > n * (state.block_size - 1):
         raise solver.SolverError(f"cannot allocate {k} sources across {n} active blocks")
-    return PeakAllocation(tuple((order[j], k // n + (j < k % n)) for j in range(min(n, k))))
+    return [(order[j], k // n + (j < k % n)) for j in range(min(n, k))]
 
 
 def _algorithm(config: ExperimentConfig, algo: str, pair, k: int):
     """(dictionary, estimate) of one algorithm: the dictionary its EM runs
     on, and ``estimate(state) -> (pairs, provenance)``, which reads the k
-    (u, v) estimates off a state of that EM as an array plus the block
-    solver's rooting provenance objects (None for the flat baseline).  This
-    is the only place that knows how the algorithms differ."""
+    (u, v) estimates off a state of that EM as a (k, 2) array plus the block
+    solver's per-block rooting dicts (None for the flat baseline).  This is
+    the only place that knows how the algorithms differ."""
     if algo == "hmsbl":
-        def estimate(state):
-            est = pair_estimates(state, pair.grid_u, _hmsbl_allocation(state, pair.grid_u, config, k))
-            return est.as_array(), est.provenance
-        return pair, estimate
+        return pair, lambda state: pair_estimates(
+            state, pair.grid_u, _hmsbl_allocation(state, pair.grid_u, config, k))
     kdict = kron_dictionary(pair, prune=True)
-    return kdict, lambda state: (np.array(msbl_estimates(state, kdict.column_labels, k)), None)
+    return kdict, lambda state: (msbl_estimates(state, kdict.column_labels, k), None)
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +477,20 @@ _TRIAL_ERRORS = (solver.SolverError, MatchCountError, ValueError)
 
 
 def _trial_inputs(config: ExperimentConfig, trial: int):
-    """(scene, snapshots, dictionary pair) of one trial."""
+    """(scene, truth, snapshots, dictionary pair) of one trial; ``truth``
+    holds one (u, v) row per source."""
     scene = scene_for_trial(config, trial)
+    truth = np.array([[s.u, s.v] for s in scene.sources])
     ura = UraConfig(config.nx, config.ny)
     y = synthesize_snapshots(scene, ura)
-    return scene, y, dictionary_pair(ura, uniform_grid(config.mu), uniform_grid(config.mv))
+    return scene, truth, y, dictionary_pair(ura, uniform_grid(config.mu), uniform_grid(config.mv))
 
 
 def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
-    scene, y, pair = _trial_inputs(config, trial)
+    scene, truth, y, pair = _trial_inputs(config, trial)
     out = {
         "trial": trial,
-        "scene": {"sources": [[s.u, s.v] for s in scene.sources], "seed": scene.seed},
+        "scene": {"sources": truth.tolist(), "seed": scene.seed},
         "algorithms": {},
     }
     for algo in config.algorithms:
@@ -491,7 +498,7 @@ def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
             dictionary, estimate = _algorithm(config, algo, pair, scene.k)
             state, _, diag = solver.run(y, dictionary, _params_for(config, algo))
             pairs, provenance = estimate(state)
-            report = match_and_rmse(pairs, scene)
+            report = match_and_rmse(pairs, truth)
         except _TRIAL_ERRORS as exc:
             out["algorithms"][algo] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
@@ -508,7 +515,7 @@ def _generic_trial(config: ExperimentConfig, trial: int) -> dict:
             "seconds": float(sum(diag.iter_seconds)),
         }
         if provenance is not None:
-            entry["provenance"] = [asdict(p) for p in provenance]
+            entry["provenance"] = list(provenance)
         out["algorithms"][algo] = entry
     return out
 
@@ -518,9 +525,8 @@ def _budget_curve_trial(config: ExperimentConfig, trial: int) -> dict:
     An algorithm whose solve fails keeps the values of the iterations that
     ran, is NaN after them and gets an entry in the trial's ``errors``; so
     does one with no estimate at any iteration, naming the last failure."""
-    scene, y, pair = _trial_inputs(config, trial)
+    scene, truth, y, pair = _trial_inputs(config, trial)
     horizon = max(config.budgets)
-    truth = np.array([[s.u, s.v] for s in scene.sources])
     curves, errors = {}, {}
     for algo in config.algorithms:
         params = _params_for(config, algo, max_iters=horizon)

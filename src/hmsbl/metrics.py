@@ -5,9 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .pairing import PairedEstimates
-from .signal_model import Scene
-
 __all__ = ["MatchReport", "MatchCountError", "match_and_rmse"]
 
 
@@ -34,23 +31,15 @@ class MatchCountError(ValueError):
         self.partial_report = partial_report
 
 
-def _pairs_array(obj) -> np.ndarray:
-    if isinstance(obj, PairedEstimates):
-        return obj.as_array()
-    if isinstance(obj, Scene):
-        return np.array([[s.u, s.v] for s in obj.sources], dtype=float).reshape(-1, 2)
-    return np.asarray(obj, dtype=float).reshape(-1, 2)
-
-
 def match_and_rmse(estimates, truth) -> MatchReport:
     """Optimally assign estimates to truth sources and report errors.
 
-    The assignment is scipy's ``linear_sum_assignment``, exact for square
+    Both arguments are array-likes of (u, v) rows.  The assignment is scipy's ``linear_sum_assignment``, exact for square
     and rectangular costs alike.  Raises MatchCountError (with the exact
     partial report) when the two sets differ in size.
     """
-    est = _pairs_array(estimates)
-    tru = _pairs_array(truth)
+    est = np.asarray(estimates, dtype=float).reshape(-1, 2)
+    tru = np.asarray(truth, dtype=float).reshape(-1, 2)
     if tru.shape[0] == 0:
         raise ValueError("truth must contain at least one source")
     cost = np.sum((tru[:, None, :] - est[None, :, :]) ** 2, axis=2)

@@ -16,9 +16,10 @@ from . import solver
 __all__ = ["msbl_estimates"]
 
 
-def msbl_estimates(state: solver.HMsblState, column_labels: np.ndarray, k: int) -> list:
-    """(u, v) labels of the k largest active powers, ties to the lower
-    column index; ``column_labels`` holds one (u, v) row per column."""
+def msbl_estimates(state: solver.HMsblState, column_labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, 2) array of the (u, v) labels of the k largest active powers,
+    strongest first, ties to the lower column index; ``column_labels``
+    holds one (u, v) row per column."""
     if k < 1:
         raise ValueError("k must be >= 1")
     idx = np.flatnonzero(state.active)
@@ -29,4 +30,4 @@ def msbl_estimates(state: solver.HMsblState, column_labels: np.ndarray, k: int) 
         top = neg <= np.partition(neg, k - 1)[k - 1]
         idx, neg = idx[top], neg[top]
     order = idx[np.argsort(neg, kind="stable")][:k]
-    return [tuple(column_labels[i]) for i in order]
+    return column_labels[order]

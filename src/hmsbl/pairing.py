@@ -16,10 +16,7 @@ from .dictionary import Grid1D
 
 __all__ = [
     "PeakSelection",
-    "PeakAllocation",
     "RootMusicEstimate",
-    "PairProvenance",
-    "PairedEstimates",
     "select_peaks",
     "root_music_v",
     "pair_estimates",
@@ -40,52 +37,12 @@ class PeakSelection:
 
 
 @dataclass(frozen=True)
-class PeakAllocation:
-    """How many v components to root per chosen block: (block, count) pairs."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple((int(i), int(c)) for i, c in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries:
-            raise ValueError("allocation must contain at least one block")
-        blocks = [i for i, _ in entries]
-        if len(set(blocks)) != len(blocks):
-            raise ValueError("allocation blocks must be distinct")
-        if any(c < 1 for _, c in entries):
-            raise ValueError("allocation counts must be >= 1")
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
-
-@dataclass(frozen=True)
 class RootMusicEstimate:
     """Recovered v values (ascending) with the eigen-gap diagnostic."""
 
     values: np.ndarray
     eigen_gap: float
     low_confidence: bool
-
-
-@dataclass(frozen=True)
-class PairProvenance:
-    block: int
-    eigen_gap: float
-    low_confidence: bool
-
-
-@dataclass(frozen=True)
-class PairedEstimates:
-    """(u, v) estimates; u comes from the grid, v from rooting."""
-
-    pairs: tuple
-    provenance: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.pairs, dtype=float).reshape(-1, 2)
 
 
 def select_peaks(gamma, grid_u: Grid1D, k_peaks: int) -> PeakSelection:
@@ -167,23 +124,37 @@ def root_music_v(b: np.ndarray, k: int, gap_tol: float = _GAP_TOL) -> RootMusicE
     )
 
 
-def pair_estimates(state, grid_u: Grid1D, allocation: PeakAllocation) -> PairedEstimates:
+def pair_estimates(state, grid_u: Grid1D, allocation):
     """Root every allocated block and pair its v values with the block's
-    u-grid point.  All allocated blocks must be active, and each count must
-    leave a nonempty noise subspace (count <= ny - 1)."""
+    u-grid point.
+
+    ``allocation`` is a non-empty sequence of (block, count) pairs with
+    distinct blocks, each active and in range, and each count in
+    [1, ny - 1] so that the noise subspace is nonempty.  Returns
+    (pairs, provenance): the (K, 2) array of (u, v) estimates, block by
+    block in allocation order with each block's v ascending, and one
+    {"block", "eigen_gap", "low_confidence"} dict per block.
+    """
+    allocation = [(int(block), int(count)) for block, count in allocation]
+    if not allocation:
+        raise ValueError("allocation must contain at least one block")
+    blocks = [block for block, _ in allocation]
+    if len(set(blocks)) != len(blocks):
+        raise ValueError("allocation blocks must be distinct")
     ny = state.block_size
-    pairs = []
-    provenance = []
-    for block, count in allocation.entries:
+    for block, count in allocation:
         if not (0 <= block < state.n_blocks):
             raise ValueError(f"block {block} out of range")
         if not state.active[block]:
             raise ValueError(f"block {block} is inactive")
-        if count > ny - 1:
+        if not (1 <= count <= ny - 1):
             raise ValueError(f"cannot root {count} components from a {ny}-element block")
+    pairs = []
+    provenance = []
+    for block, count in allocation:
         est = root_music_v(state.b_mats[block], count)
         u = float(grid_u.points[block])
         pairs.extend((u, float(v)) for v in est.values)
-        provenance.append(PairProvenance(block=block, eigen_gap=est.eigen_gap,
-                                         low_confidence=est.low_confidence))
-    return PairedEstimates(pairs=tuple(pairs), provenance=tuple(provenance))
+        provenance.append({"block": block, "eigen_gap": est.eigen_gap,
+                           "low_confidence": est.low_confidence})
+    return np.array(pairs, dtype=float).reshape(-1, 2), tuple(provenance)

@@ -16,11 +16,14 @@ from hmsbl.experiments import (
     _FIELDS,
     ConfigError,
     ResultRecord,
+    _algorithm,
+    _generic_trial,
     _hmsbl_allocation,
     _params_for,
     _paired_minima,
     _relative_spread,
     _time_rounds,
+    _trial_inputs,
     emit_plot_data,
     load_config,
     run_and_save,
@@ -30,7 +33,7 @@ from hmsbl.experiments import (
     validate_config,
 )
 from hmsbl.signal_model import noise_power
-from hmsbl.solver import HMsblParams, SolverError
+from hmsbl.solver import HMsblParams, SolverError, run
 
 
 def _base_config(**over):
@@ -81,6 +84,34 @@ def test_validate_names_infeasible_source_index():
     config, errors = validate_config(_dumps(cfg))
     assert config is None
     assert any("sources[1]" in e and "exceeds 1" in e for e in errors)
+
+
+def test_validate_names_out_of_range_source_components():
+    cfg = _base_config()
+    cfg["scene"]["sources"].append({"u": 1.2, "v": 0.0})
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == ["scene.sources[1]: direction cosines must lie in [-1, 1], got (1.2, 0.0)"]
+
+
+@pytest.mark.parametrize("snr_db", [-4000, 4000, -3090.0, 3240.0])
+def test_validate_rejects_snr_beyond_the_float_range(snr_db):
+    # 10^(-snr_db/10) overflows (-4000, -3090) or underflows to 0 (4000, 3240)
+    cfg = _base_config()
+    cfg["scene"]["snr_db"] = snr_db
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == [f"scene.snr_db: the noise power 10^(-snr_db/10) is outside the float "
+                      f"range, got {float(snr_db)}"]
+
+
+@pytest.mark.parametrize("snr_db", [-3080.0, 3000.0])
+def test_validate_accepts_snr_with_a_representable_noise_power(snr_db):
+    cfg = _base_config()
+    cfg["scene"]["snr_db"] = snr_db
+    config, errors = validate_config(_dumps(cfg))
+    assert errors == []
+    assert 0.0 < noise_power(config.snr_db) < float("inf")
 
 
 def test_validate_rejects_zero_trials():
@@ -240,7 +271,7 @@ def test_hmsbl_allocation_stacks_counts_on_the_strongest_blocks():
     config = SimpleNamespace(allocation=None)
 
     def counts(k):
-        return list(_hmsbl_allocation(state, grid, config, k).entries)
+        return list(_hmsbl_allocation(state, grid, config, k))
     assert counts(2) == [(1, 1), (3, 1)]
     assert counts(4) == [(1, 2), (3, 1), (0, 1)]
     assert counts(5) == [(1, 2), (3, 2), (0, 1)]
@@ -473,6 +504,28 @@ def test_emit_plot_data_rejects_unknown_kind(tmp_path):
         emit_plot_data(record, "heatmap", str(tmp_path))
 
 
+def test_generic_trial_records_estimates_and_provenance_of_the_reader():
+    # an exp2 trial, shortened: the record holds the reader's (K, 2) pairs
+    # as lists and its per-block rooting dicts, keys in this order
+    with open(os.path.join(_REPO, "configs/exp2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg.update(trials=1)
+    cfg["solvers"]["hmsbl"]["max_iters"] = 40
+    config, errors = validate_config(_dumps(cfg))
+    assert errors == []
+    entry = _generic_trial(config, 0)["algorithms"]["hmsbl"]
+
+    scene, truth, y, pair = _trial_inputs(config, 0)
+    dictionary, estimate = _algorithm(config, "hmsbl", pair, len(truth))
+    state, _, _ = run(y, dictionary, _params_for(config, "hmsbl"))
+    pairs, provenance = estimate(state)
+    assert pairs.shape == (10, 2)
+    assert entry["estimates"] == pairs.tolist()
+    assert [list(p) for p in entry["provenance"]] == [["block", "eigen_gap", "low_confidence"]] * 2
+    assert entry["provenance"] == list(provenance)
+    assert all(type(p["block"]) is int for p in entry["provenance"])
+
+
 def test_trial_errors_are_recorded_not_raised():
     # an impossible allocation (more v's than blocks can hold) fails that
     # trial but the run still completes and reports the error
@@ -643,6 +696,27 @@ def test_cli_validate_non_finite_number_exits_2_on_one_line(tmp_path):
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
         f"invalid config {p}: scene.sources[0].u: expected a finite number, got nan"]
+
+
+@pytest.mark.parametrize("snr_db", [-4000, 4000])
+def test_cli_rejects_an_out_of_range_snr_on_one_line(tmp_path, snr_db):
+    # before validate bounded it, run died in noise_power (OverflowError)
+    # or in _params_for (a fixed lambda of 0)
+    with open(os.path.join(_REPO, "configs/exp3.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg.update(trials=1, budgets=[3])
+    cfg["scene"]["snr_db"] = snr_db
+    for spec in cfg["solvers"].values():
+        spec["max_iters"] = 3
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(cfg))
+    for args in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path)]):
+        r = _run_cli(args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"invalid config {p}: scene.snr_db: the noise power 10^(-snr_db/10) is outside "
+            f"the float range, got {float(snr_db)}"]
 
 
 def test_cli_validate_repeated_algorithm_exits_2(tmp_path):

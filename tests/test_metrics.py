@@ -6,7 +6,6 @@ import pytest
 
 from hmsbl.experiments import run_experiment, validate_config
 from hmsbl.metrics import MatchCountError, match_and_rmse
-from hmsbl.signal_model import Scene, Source
 
 
 def test_match_exact_identity():
@@ -43,12 +42,13 @@ def test_match_finds_optimal_not_greedy():
     assert rep.rmse == pytest.approx(best, rel=1e-12)
 
 
-def test_match_accepts_scene_and_paired_inputs():
-    scene = Scene(sources=(Source(0.1, 0.2), Source(-0.3, 0.4)), seed=0)
-    est = np.array([[-0.3, 0.4], [0.1, 0.2]])
-    rep = match_and_rmse(est, scene)
+def test_match_accepts_lists_of_rows():
+    truth = [[0.1, 0.2], [-0.3, 0.4]]
+    est = [[-0.3, 0.4], [0.1, 0.2]]
+    rep = match_and_rmse(est, truth)
     assert rep.rmse == 0.0
     assert rep.assignment == (1, 0)
+    assert match_and_rmse(np.array(est), np.array(truth)) == rep
 
 
 def test_match_count_mismatch_raises_with_partial():

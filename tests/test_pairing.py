@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from hmsbl.dictionary import steering, uniform_grid
-from hmsbl.pairing import (
-    PeakAllocation,
-    pair_estimates,
-    root_music_v,
-    select_peaks,
-)
+from hmsbl.pairing import pair_estimates, root_music_v, select_peaks
 from hmsbl.solver import HMsblState
 from oracles import vandermonde_projector_roots
 
@@ -152,16 +147,15 @@ def test_pair_estimates_two_blocks():
     blocks[1] = _corr([0.4], ny)
     blocks[3] = _corr([-0.6, 0.2], ny)
     state = _state_with_blocks(blocks, [0.0, 3.0, 0.0, 2.0, 0.0], ny)
-    alloc = PeakAllocation(((1, 1), (3, 2)))
-    assert alloc.total == 3
-    est = pair_estimates(state, grid, alloc)
-    arr = est.as_array()
+    pairs, provenance = pair_estimates(state, grid, [(1, 1), (3, 2)])
     want = np.array([[grid.points[1], 0.4],
                      [grid.points[3], -0.6],
                      [grid.points[3], 0.2]])
-    np.testing.assert_allclose(arr, want, atol=1e-7)
-    assert [p.block for p in est.provenance] == [1, 3]
-    assert not est.provenance[0].low_confidence
+    assert pairs.shape == (3, 2) and pairs.dtype == float
+    np.testing.assert_allclose(pairs, want, atol=1e-7)
+    assert [list(p) for p in provenance] == [["block", "eigen_gap", "low_confidence"]] * 2
+    assert [p["block"] for p in provenance] == [1, 3]
+    assert not provenance[0]["low_confidence"]
 
 
 def test_pair_estimates_rejects_bad_allocation():
@@ -169,15 +163,25 @@ def test_pair_estimates_rejects_bad_allocation():
     grid = uniform_grid(5)
     blocks = [_corr([0.1], ny) for _ in range(5)]
     state = _state_with_blocks(blocks, [1.0, 0.0, 1.0, 1.0, 1.0], ny)
-    with pytest.raises(ValueError):
-        pair_estimates(state, grid, PeakAllocation(((1, 1),)))  # inactive block
-    with pytest.raises(ValueError):
-        pair_estimates(state, grid, PeakAllocation(((0, 4),)))  # count = ny
-    with pytest.raises(ValueError):
-        pair_estimates(state, grid, PeakAllocation(((7, 1),)))  # out of range
-    with pytest.raises(ValueError):
-        PeakAllocation(((0, 1), (0, 1)))  # duplicate block
-    with pytest.raises(ValueError):
-        PeakAllocation(((0, 0),))  # zero count
-    with pytest.raises(ValueError):
-        PeakAllocation(())
+    for allocation, message in [
+        ([(1, 1)], "block 1 is inactive"),
+        ([(0, 4)], "cannot root 4 components"),  # count = ny
+        ([(7, 1)], "block 7 out of range"),
+        ([(0, 1), (0, 1)], "distinct"),
+        ([(0, 0)], "cannot root 0 components"),
+        ([], "at least one block"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pair_estimates(state, grid, allocation)
+
+
+def test_pair_estimates_validates_before_rooting(monkeypatch):
+    # a bad entry anywhere in the allocation fails before any block is rooted
+    ny = 4
+    blocks = [_corr([0.1], ny) for _ in range(5)]
+    state = _state_with_blocks(blocks, [1.0, 0.0, 1.0, 1.0, 1.0], ny)
+    rooted = []
+    monkeypatch.setattr("hmsbl.pairing.root_music_v", lambda b, k: rooted.append(k))
+    with pytest.raises(ValueError, match="block 1 is inactive"):
+        pair_estimates(state, uniform_grid(5), [(0, 1), (2, 1), (1, 1)])
+    assert rooted == []

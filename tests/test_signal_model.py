@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,7 @@ def test_noise_power():
     assert noise_power(10.0) == pytest.approx(0.1)
     assert noise_power(-10.0) == pytest.approx(10.0)
     assert noise_power(20.0) == pytest.approx(0.01)
+    assert noise_power(math.inf) == 0.0  # noiseless, as Scene documents
 
 
 def test_source_feasibility():
