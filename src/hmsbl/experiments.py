@@ -448,7 +448,8 @@ def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int):
         return [(i, 1) for i in idx[:k]]
     # fewer usable peaks than sources: spread the counts evenly over the
     # active blocks, stronger ones first; a block holds at most ny - 1
-    order = sorted(np.flatnonzero(state.active), key=lambda i: -state.gamma[i])
+    active = np.flatnonzero(state.active)
+    order = active[np.argsort(-state.gamma[active], kind="stable")]
     n = len(order)
     if k > n * (state.block_size - 1):
         raise solver.SolverError(f"cannot allocate {k} sources across {n} active blocks")

@@ -55,16 +55,15 @@ def select_peaks(gamma, grid_u: Grid1D, k_peaks: int) -> PeakSelection:
         raise ValueError("gamma must be 1-D with one entry per grid point")
     if not (1 <= k_peaks <= g.size):
         raise ValueError(f"k_peaks must lie in [1, {g.size}]")
-    n = g.size
-    maxima = [
-        i for i in range(n)
-        if (i == 0 or g[i] > g[i - 1]) and (i == n - 1 or g[i] > g[i + 1])
-    ]
-    maxima.sort(key=lambda i: (-g[i], i))
-    if len(maxima) >= k_peaks:
-        return PeakSelection(indices=tuple(maxima[:k_peaks]), fallback=False)
-    order = sorted(range(n), key=lambda i: (-g[i], i))
-    return PeakSelection(indices=tuple(order[:k_peaks]), fallback=True)
+    # a stable sort of -g breaks ties toward the lower index
+    left = np.concatenate(([True], g[1:] > g[:-1]))
+    right = np.concatenate((g[:-1] > g[1:], [True]))
+    maxima = np.flatnonzero(left & right)
+    if maxima.size >= k_peaks:
+        order = maxima[np.argsort(-g[maxima], kind="stable")]
+        return PeakSelection(indices=tuple(order[:k_peaks].tolist()), fallback=False)
+    order = np.argsort(-g, kind="stable")
+    return PeakSelection(indices=tuple(order[:k_peaks].tolist()), fallback=True)
 
 
 def root_music_v(b: np.ndarray, k: int, gap_tol: float = _GAP_TOL) -> RootMusicEstimate:

@@ -24,17 +24,21 @@ B updates consume is
 
     M_i = Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i
 
-The M-step is Gamma_i <- M_i: gamma_i = ||M_i||_F and B_i = M_i / gamma_i,
-with no per-block inverse.  And, because D mu = Y - lam R Y, the noise
-update's data misfit is
+The M-step is Gamma_i <- M_i, with no per-block inverse, and the loop
+carries Gamma_i as its state: the moments are the next prior as they stand.
+Of the split gamma_i = ||M_i||_F, B_i = M_i / gamma_i it reads only gamma
+(for pruning and the noise update); B_i is formed only when ``run`` hands
+the state out.  And, because D mu = Y - lam R Y, the noise update's data
+misfit is
 
     ||Y - D mu||_F^2 = lam^2 L tr(R S R).
 
 One Cholesky factorisation of Sigma_y per iteration (LAPACK ``zpotrf``,
 then ``zpotrs`` against the identity) gives log det Sigma_y and R; R S R,
 the cost log det Sigma_y + tr(R S), the moments and the misfit follow by
-GEMMs, so per-iteration cost never depends on the number of snapshots or
-on any v-grid size.  Those statistics of one prior are its ``Posterior``;
+GEMMs (the misfit only when the noise update reads it), so per-iteration
+cost never depends on the number of snapshots or on any v-grid size.  Those
+statistics of one prior are its ``Posterior``;
 ``e_step``, ``ml_cost`` and ``run`` all get theirs from ``_marginal``.
 
 Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
@@ -146,26 +150,30 @@ class Posterior:
     prior's active blocks.
 
     ``_marginal`` builds it from one factorisation of Sigma_y: ``rinv`` is
-    R = Sigma_y^-1, ``rsr`` is R S R for the sample covariance S, ``cost``
-    is log det Sigma_y + tr(R S), and ``misfit`` is the data misfit
-    ||Y - D mu||_F^2 = lam^2 L tr(R S R), all without forming mu.  The
-    mean columns ``mu`` (for the columns of ``y``) and the per-block
+    R = Sigma_y^-1, ``rsr`` is R S R for the sample covariance S of
+    ``data`` and ``cost`` is log det Sigma_y + tr(R S), all without forming
+    mu.  The data misfit ``misfit`` = ||Y - D mu||_F^2 = lam^2 L tr(R S R),
+    the mean columns ``mu`` (for the columns of ``data``) and the per-block
     covariance diagonal blocks ``sigma_blocks`` are computed when first
-    read, over every block, zero on inactive ones.
+    read, the last two over every block, zero on inactive ones.
     """
 
     op: object
-    y: np.ndarray  # the snapshot columns mu is formed for
+    data: SnapshotSet  # the snapshots mu is formed for
     scaled: np.ndarray  # gamma_i B_i of the operator's blocks
     rinv: np.ndarray
     rsr: np.ndarray
     cost: float
-    misfit: float
+    lam: float  # the noise variance of the prior
+
+    @cached_property
+    def misfit(self) -> float:
+        return self.lam ** 2 * self.data.n_snapshots * float(np.trace(self.rsr).real)
 
     @cached_property
     def mu(self) -> np.ndarray:
-        z = self.op.adjoint_blocks(self.rinv @ self.y)
-        return self.op.scatter(self.scaled @ z).reshape(-1, self.y.shape[1])
+        z = self.op.adjoint_blocks(self.rinv @ self.data.y)
+        return self.op.scatter(self.scaled @ z).reshape(-1, self.data.y.shape[1])
 
     @cached_property
     def sigma_blocks(self) -> np.ndarray:
@@ -382,19 +390,17 @@ def _active_part(op, state: HMsblState):
     return op.restrict(index), live
 
 
-def _marginal(op, state: HMsblState, data: SnapshotSet, scm: np.ndarray) -> Posterior:
-    """The posterior of ``state``'s prior given ``data``, whose sample
+def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet, scm: np.ndarray) -> Posterior:
+    """The posterior of the prior with Gamma_i = ``scaled`` on the blocks of
+    ``op`` and noise variance ``lam`` given ``data``, whose sample
     covariance is ``scm``: Sigma_y is factored once, everything else is
     GEMMs.
 
-    ``state`` holds the blocks of ``op``.  LAPACK is called directly:
-    ``zpotrf`` factors Sigma_y and ``zpotrs`` solves against the identity
-    for R.
+    LAPACK is called directly: ``zpotrf`` factors Sigma_y and ``zpotrs``
+    solves against the identity for R.
     """
-    scaled = _scaled_prior(state)
     sy = op.signal_cov(scaled)
     n = op.n_rows
-    lam = state.noise_var
     sy.flat[::n + 1] += lam
     chol, info = lapack.zpotrf(sy, lower=1, clean=0)
     if info == 0:
@@ -408,9 +414,7 @@ def _marginal(op, state: HMsblState, data: SnapshotSet, scm: np.ndarray) -> Post
     cost = 2.0 * float(np.sum(np.log(chol.diagonal().real))) + float(np.trace(rs).real)
     if not math.isfinite(cost):
         raise SolverError(f"non-finite marginal-likelihood cost {cost}")
-    rsr = rs @ rinv
-    misfit = lam ** 2 * data.n_snapshots * float(np.trace(rsr).real)
-    return Posterior(op=op, y=data.y, scaled=scaled, rinv=rinv, rsr=rsr, cost=cost, misfit=misfit)
+    return Posterior(op=op, data=data, scaled=scaled, rinv=rinv, rsr=rs @ rinv, cost=cost, lam=lam)
 
 
 def _moments(op, m: Posterior) -> np.ndarray:
@@ -429,7 +433,7 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
     if not state.active.any():
         raise SolverError("no active blocks left")
     op, live = _active_part(_operator_for(dictionary, y), state)
-    post = _marginal(op, live, y, sample_covariance(y))
+    post = _marginal(op, _scaled_prior(live), live.noise_var, y, sample_covariance(y))
     post.mu, post.sigma_blocks  # the E-step proper: evaluate both now
     return post
 
@@ -504,7 +508,7 @@ def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) 
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
     op, live = _active_part(_operator_for(dictionary, y), state)
-    return _marginal(op, live, y, sample_covariance(y)).cost
+    return _marginal(op, _scaled_prior(live), live.noise_var, y, sample_covariance(y)).cost
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
@@ -552,25 +556,28 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     noise-variance re-estimation, pruning, until ``max_iters`` or the
     relative cost change falls below ``cost_tol``.
 
-    The M-step sets gamma_i = ||M_i||_F and B_i = M_i / gamma_i for the
-    moment M_i, with no per-block inverse: ``update_gamma`` then
-    ``update_b`` with the removed Frobenius scale pushed back into gamma.
-    That Gamma_i <- M_i is the exact EM maximizer, so the cost trace is
-    non-increasing while lambda is fixed and pruning is off.  A block whose
-    moment has a non-positive trace leaves the active set.
+    The M-step Gamma_i <- M_i is the exact EM maximizer (``update_gamma``
+    then ``update_b``, with the removed Frobenius scale pushed back into
+    gamma), so the cost trace is non-increasing while lambda is fixed and
+    pruning is off.  The loop carries Gamma_i itself and reads only
+    gamma_i = ||M_i||_F of the split; a block whose moment has a
+    non-positive trace leaves the active set with Gamma_i = 0.
+    B_i = M_i / gamma_i is formed only where the state leaves the loop:
+    before each ``on_iteration`` call, for the blocks a prune drops, and
+    once when the loop ends; a block whose moment dies keeps the B of its
+    last moment.  So a run's result does not depend on an observer.
 
     Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
     docstring): one Cholesky factorisation per iteration gives the
     ``Posterior`` of the updated prior, whose cost is the iteration's and
     which, unless pruning then changed the active set, is the next
-    iteration's posterior, with its moments and noise misfit.  An unchanged
-    set leaves the prior bit-identical, so the reuse is exact.  The operator is built once
-    and handed to ``init_state`` and ``update_lambda``.
+    iteration's posterior, with its moments and noise misfit.  The operator
+    is built once and handed to ``init_state`` and ``update_lambda``.
 
     Sigma_y assembly, the moments and the M-step run on the active blocks
     only.  After an iteration in which a block left the active set (pruned,
-    or a non-positive moment trace), the next one restricts the operator to
-    the blocks left by slicing its tables, where it re-factors Sigma_y
+    or a non-positive moment trace), the next one slices the operator's
+    tables and Gamma down to the blocks left, where it re-factors Sigma_y
     anyway.  Until the set first shrinks ``run`` works on ``state`` itself,
     so a run that never prunes never gathers or scatters.  The noise
     update's penalty takes the full Phi_u (nx x Mu) with gamma = 0 on
@@ -580,8 +587,9 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     completed iteration (1-based); ``state`` covers every block, with
     gamma = 0 on inactive ones.  The posterior is that of the prior the
     iteration started from, as the loop used it; its ``mu`` and
-    ``sigma_blocks`` are computed on first access, over every block.  Treat the arguments as read-only
-    and copy anything retained: ``run`` updates the state's arrays in place.
+    ``sigma_blocks`` are computed on first access, over every block.  Treat
+    the arguments as read-only and copy anything retained: ``run`` updates
+    the state's arrays in place.
     Returns (state, posterior, diagnostics).
     """
     op = _operator_for(dictionary, y)
@@ -589,11 +597,12 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     data = compress_snapshots(y) if params.compress else y
     scm = sample_covariance(data)
 
-    # the loop runs on ``live``, the gamma and B of the active blocks, and on
-    # ``cop``, the operator restricted to them: ``state`` and ``op``
-    # themselves until the active set first shrinks
+    # the loop runs on ``cop``, the operator restricted to the active blocks,
+    # their Gamma_i ``scaled``, and ``live``, their gamma, activity and B:
+    # ``op`` and ``state`` themselves until the active set first shrinks
     cop, live = op, state
-    marginal = _marginal(cop, live, data, scm)
+    scaled = _scaled_prior(state)
+    marginal = _marginal(cop, scaled, state.noise_var, data, scm)
     cost_trace = [marginal.cost]
     iter_seconds = []
     active_counts = []
@@ -604,29 +613,42 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         t0 = time.perf_counter()
         if marginal is None:  # the active set shrank: slice the operator again,
             post = cop = None  # never holding the old and the new slices at once
-            cop, live = _active_part(op, state)
-            marginal = _marginal(cop, live, data, scm)
+            cop = op.restrict(np.flatnonzero(state.active))
+            scaled = scaled[kept]
+            live = HMsblState(gamma=live.gamma[kept], b_mats=live.b_mats[kept],
+                              noise_var=state.noise_var, active=np.ones(cop.n_blocks, dtype=bool))
+            marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         post = marginal
         moments = _moments(cop, marginal)
         alive = np.einsum("mkk->m", moments).real > 0
-        if not alive.any():
-            raise SolverError("all block powers collapsed to zero")
-        live.active = alive
-        flat = moments.reshape(live.n_blocks, -1).view(float)  # real and imaginary parts
+        if not alive.all():
+            if not alive.any():
+                raise SolverError("all block powers collapsed to zero")
+            if it > 1:  # a dying block keeps the B of its last moment
+                np.divide(marginal.scaled, live.gamma[:, None, None], out=live.b_mats,
+                          where=~alive[:, None, None])
+            moments[~alive] = 0.0
+        flat = moments.reshape(cop.n_blocks, -1).view(float)  # real and imaginary parts
         fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
-        live.b_mats[alive] = moments[alive] / fro[alive, None, None]
-        live.gamma = np.where(alive, fro, 0.0)
+        scaled, live.gamma, live.active = moments, fro, alive
         if live is not state:
-            state.gamma[cop.index] = live.gamma
-            state.b_mats[cop.index] = live.b_mats
+            state.gamma[cop.index] = fro
 
         if params.lambda_mode == "adaptive":
             live.noise_var = state.noise_var = update_lambda(data, post.misfit, state, op)
 
-        marginal = _marginal(cop, live, data, scm)
+        marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         cost_trace.append(marginal.cost)
+        prev = cost_trace[-2]
+        converged = abs(marginal.cost - prev) / max(1.0, abs(prev)) < params.cost_tol
         kept = prune(live, params)
-        if not kept.all():  # a block died or was pruned
+        shrank = not kept.all()  # a block died or was pruned
+        if shrank or converged or on_iteration is not None or it == params.max_iters:
+            # hand B out before a pruned block's gamma is zeroed
+            np.divide(moments, fro[:, None, None], out=live.b_mats, where=alive[:, None, None])
+            if live is not state:
+                state.b_mats[cop.index] = live.b_mats
+        if shrank:
             gone = np.flatnonzero(~kept) if cop.index is None else cop.index[~kept]
             state.active[gone] = False
             state.gamma[gone] = 0.0
@@ -636,10 +658,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         active_counts.append(int(kept.sum()))
         if on_iteration is not None:
             on_iteration(it, state, post)
-
-        prev, cur = cost_trace[-2], cost_trace[-1]
-        if abs(cur - prev) / max(1.0, abs(prev)) < params.cost_tol:
-            converged = True
+        if converged:
             break
 
     if post is None:

@@ -121,6 +121,22 @@ def msbl_gamma_star_scalar(d_col, scm, lam, lo=1e-12, hi=1e3, n=400001):
     return best_g
 
 
+def select_peaks_loop(g, k_peaks):
+    """(indices, fallback) of the k_peaks largest strict local maxima of g,
+    endpoints compared one-sided, ties toward the lower index; the k_peaks
+    largest values, flagged, when there are fewer maxima."""
+    n = len(g)
+    maxima = [
+        i for i in range(n)
+        if (i == 0 or g[i] > g[i - 1]) and (i == n - 1 or g[i] > g[i + 1])
+    ]
+    maxima.sort(key=lambda i: (-g[i], i))
+    if len(maxima) >= k_peaks:
+        return tuple(maxima[:k_peaks]), False
+    order = sorted(range(n), key=lambda i: (-g[i], i))
+    return tuple(order[:k_peaks]), True
+
+
 def vandermonde_projector_roots(b, k):
     """Noise-subspace polynomial roots computed symbolically enough to trust:
     eigendecompose, form the projector, evaluate its quadratic form on the

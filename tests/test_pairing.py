@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hmsbl.dictionary import steering, uniform_grid
+from hmsbl.dictionary import Grid1D, steering, uniform_grid
 from hmsbl.pairing import pair_estimates, root_music_v, select_peaks
 from hmsbl.solver import HMsblState
-from oracles import vandermonde_projector_roots
+from oracles import select_peaks_loop, vandermonde_projector_roots
 
 
 def _corr(vs, ny, weights=None):
@@ -53,6 +53,25 @@ def test_select_peaks_validation():
         select_peaks(np.zeros(4), g, 0)
     with pytest.raises(ValueError):
         select_peaks(np.zeros(4), g, 5)
+
+
+def test_select_peaks_matches_loop_reference():
+    # random spectra with zeros, plateaus, ties and endpoint peaks: values
+    # drawn from a few levels so equal neighbours and equal maxima are common
+    rng = np.random.default_rng(61)
+    fallbacks = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 14))
+        g = rng.choice([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0], size=n)
+        if rng.uniform() < 0.3:
+            g = g + rng.uniform(size=n)  # distinct values too
+        k = int(rng.integers(1, n + 1))
+        got = select_peaks(g, Grid1D(np.linspace(-1.0, 1.0, n)), k)
+        want_indices, want_fallback = select_peaks_loop(g, k)
+        assert (got.indices, got.fallback) == (want_indices, want_fallback), (g, k)
+        assert all(type(i) is int for i in got.indices)
+        fallbacks += got.fallback
+    assert 0 < fallbacks < 3000
 
 
 # ---------------------------------------------------------------------------

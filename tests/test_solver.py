@@ -381,7 +381,8 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     # run() works on the active blocks alone and scatters back to all of them
     cop, live = solver._active_part(op, state)
     assert cop.n_blocks == live.n_blocks == state.active.sum()
-    post = solver._marginal(cop, live, data, sample_covariance(data))
+    post = solver._marginal(cop, solver._scaled_prior(live), live.noise_var, data,
+                            sample_covariance(data))
     if kind == "kron":
         mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
         cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
@@ -425,7 +426,8 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     y = _cplx(rng, n, 4)
     scm = y @ y.conj().T / 4
 
-    marginal = solver._marginal(op, state, SnapshotSet(y=y, nx=nx, ny=ny, n_snapshots=4), scm)
+    marginal = solver._marginal(op, solver._scaled_prior(state), state.noise_var,
+                                SnapshotSet(y=y, nx=nx, ny=ny, n_snapshots=4), scm)
     sy = d @ block_diag_prior(state.gamma, state.b_mats) @ d.conj().T + 0.2 * np.eye(n)
     r = np.linalg.inv(sy)
     sign, logdet = np.linalg.slogdet(sy)
@@ -451,7 +453,7 @@ def test_marginal_raises_on_an_indefinite_or_non_finite_sigma_y(case):
     data = SnapshotSet(y=y, nx=3, ny=2, n_snapshots=8)
     # inf * 0j warns in numpy's own arithmetic before LAPACK sees Sigma_y
     with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not positive definite|non-finite") as err:
-        solver._marginal(op, state, data, y @ y.conj().T / 8)
+        solver._marginal(op, solver._scaled_prior(state), state.noise_var, data, y @ y.conj().T / 8)
     if case == "lam 1e-30":
         # the message names the noise variance against the scale of Sigma_y
         sy = op.signal_cov(solver._scaled_prior(state))  # + 1e-30 I changes no digit
@@ -777,15 +779,81 @@ def test_run_drops_a_block_whose_moment_is_zero(monkeypatch):
         return m
 
     _recording_moments(monkeypatch, zero_block_2)
-    state, _, diag = run(y, pair, HMsblParams(max_iters=1, prune_tol=0.0, lambda_value=0.05))
+    params = HMsblParams(max_iters=1, prune_tol=0.0, lambda_value=0.05)
+    state, _, diag = run(y, pair, params)
     assert diag.n_iters == 1 and np.isfinite(diag.cost_trace).all()
     np.testing.assert_array_equal(state.active, [True, True, False, True, True, True])
     assert state.gamma[2] == 0.0 and np.all(state.gamma[state.active] > 0)
+    # the dead block keeps the B it had
+    np.testing.assert_array_equal(state.b_mats[2], init_state(y, pair, params).b_mats[2])
 
     monkeypatch.undo()
     _recording_moments(monkeypatch, np.zeros_like)
     with pytest.raises(SolverError, match="all block powers collapsed to zero"):
         run(y, pair, HMsblParams(max_iters=1, prune_tol=0.0, lambda_value=0.05))
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_a_block_that_dies_keeps_the_b_of_its_last_moment(monkeypatch, observed):
+    # block 2's moment is zeroed at iteration 3: it leaves the active set
+    # with the B of its iteration-2 moment, with or without an observer
+    rng = np.random.default_rng(31)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=6)
+    calls = []
+
+    def zero_block_2_at_3(m):
+        calls.append(1)
+        if len(calls) == 3:
+            m[2] = 0.0
+        return m
+
+    moments = _recording_moments(monkeypatch, zero_block_2_at_3)
+    params = HMsblParams(max_iters=5, prune_tol=0.0, lambda_value=0.05)
+    observer = (lambda it, state, post: None) if observed else None
+    state, _, diag = run(y, pair, params, on_iteration=observer)
+    assert diag.active_counts == [6, 6, 5, 5, 5] and not state.active[2]
+    want = moments[1][2] / np.linalg.norm(moments[1][2])
+    assert np.max(np.abs(state.b_mats[2] - want)) <= 1e-15
+
+
+def _pruning_adaptive_case(flat, seed=41):
+    rng = np.random.default_rng(seed)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=16, n_snap=20, k=2)
+    return y, kron_dictionary(pair, prune=True) if flat else pair
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_run_result_does_not_depend_on_an_observer(flat):
+    # B is formed where run() hands the state out; that only presents the
+    # state, so a run with a no-op observer, which gets B every iteration,
+    # returns bit for bit what a run without one returns
+    y, dictionary = _pruning_adaptive_case(flat)
+    params = HMsblParams(max_iters=40, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=0.0)
+    bare = run(y, dictionary, params)
+    observed = run(y, dictionary, params, on_iteration=lambda it, state, post: None)
+    n_all = init_state(y, dictionary, params).n_blocks
+    assert min(bare[2].active_counts) < n_all  # pruning shrank the set
+    for got, want in ((observed[0], bare[0]), (observed[2], bare[2])):
+        for name in ("gamma", "b_mats", "active", "noise_var", "cost_trace",
+                     "active_counts", "n_iters", "converged"):
+            if hasattr(want, name):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_run_stopped_by_cost_tol_hands_out_its_last_moment(monkeypatch, flat):
+    # the state a cost_tol stop returns carries gamma_i B_i = M_i of the
+    # iteration it stopped at, on every block still active
+    y, dictionary = _pruning_adaptive_case(flat)
+    moments = _recording_moments(monkeypatch)
+    params = HMsblParams(max_iters=400, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=1e-4)
+    state, _, diag = run(y, dictionary, params)
+    assert diag.converged and diag.n_iters < params.max_iters
+    assert state.active.sum() < state.n_blocks
+    act = state.active
+    got = state.gamma[act, None, None] * state.b_mats[act]
+    want = moments[-1][act]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_run_callback_iteration_numbers():
