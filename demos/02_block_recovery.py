@@ -1,9 +1,10 @@
 """One scene, end to end: block-sparse learning plus polynomial rooting.
 
 The solver grids u only.  Each u-grid block learns a power gamma_i and a
-correlation matrix B_i; active blocks flag the u components, and rooting
-each B_i recovers the v components gridlessly, i.e. with accuracy not
-limited by any v-grid spacing.
+correlation matrix B_i; active blocks (gamma_i > 0: pruning sets a
+block's power to 0) flag the u components, and rooting each B_i recovers
+the v components gridlessly, i.e. with accuracy not limited by any v-grid
+spacing.
 """
 
 import numpy as np
@@ -44,9 +45,9 @@ print(f"solver: {diag.n_iters} iterations, converged={diag.converged}, "
       f"{int(state.active.sum())}/{grid_u.size} blocks active")
 print(f"cost: {diag.cost_trace[0]:.2f} -> {diag.cost_trace[-1]:.2f}")
 
-# u components from the block power spectrum, one v per selected block here
-masked = np.where(state.active, state.gamma, 0.0)
-sel = select_peaks(masked, grid_u, k_peaks=len(truth))
+# u components from the block power spectrum (zero on pruned blocks), one
+# v per selected block here
+sel = select_peaks(state.gamma, grid_u, k_peaks=len(truth))
 print(f"\npeak blocks: {sel.indices} (fallback={sel.fallback})")
 pairs, provenance = pair_estimates(state, grid_u, [(i, 1) for i in sel.indices])
 

@@ -41,8 +41,7 @@ params = HMsblParams(max_iters=500, lambda_value=noise_power(20.0),
                      prune_tol=1e-3, compress=True)
 state, _, diag = run(y, pair, params)
 
-masked = np.where(state.active, state.gamma, 0.0)
-sel = select_peaks(masked, grid_u, k_peaks=2)
+sel = select_peaks(state.gamma, grid_u, k_peaks=2)  # pruned blocks have gamma = 0
 print(f"\nactive blocks after pruning: {int(state.active.sum())}")
 print(f"selected u blocks: {[float(round(grid_u.points[i], 4)) for i in sel.indices]} "
       f"(truth: {[float(round(u, 4)) for u in u_cols]})")

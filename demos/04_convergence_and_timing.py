@@ -55,8 +55,7 @@ k = len(truth)
 
 block_curve = []
 def watch_block(it, state, post):
-    masked = np.where(state.active, state.gamma, 0.0)
-    sel = select_peaks(masked, grid_u, k)
+    sel = select_peaks(state.gamma, grid_u, k)  # pruned blocks have gamma = 0
     try:
         pairs, _ = pair_estimates(state, grid_u, [(i, 1) for i in sel.indices])
         block_curve.append(match_and_rmse(pairs, truth).rmse)

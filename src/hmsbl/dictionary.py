@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import UraConfig
+from .signal_model import UraConfig, in_unit_disk
 
 __all__ = [
     "Grid1D",
@@ -130,14 +130,14 @@ class KronDictionary:
 def kron_dictionary(pair: DictionaryPair, prune: bool = True) -> KronDictionary:
     """Full 2-D dictionary over the grid product.
 
-    With ``prune`` (the default) columns whose label violates
-    u^2 + v^2 <= 1 are dropped; the boundary itself is kept.
+    With ``prune`` (the default) columns whose label is not
+    ``in_unit_disk`` are dropped; the boundary itself is kept.
     """
     matrix = np.kron(pair.phi_u, pair.phi_v)
     uu, vv = np.meshgrid(pair.grid_u.points, pair.grid_v.points, indexing="ij")
     labels = np.column_stack([uu.ravel(), vv.ravel()])
     if prune:
-        keep = labels[:, 0] ** 2 + labels[:, 1] ** 2 <= 1.0
+        keep = in_unit_disk(labels[:, 0], labels[:, 1])
         matrix = matrix[:, keep]
         labels = labels[keep]
     return KronDictionary(matrix=matrix, column_labels=labels)

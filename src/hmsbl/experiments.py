@@ -35,7 +35,7 @@ from .dictionary import Grid1D, uniform_grid, dictionary_pair, kron_dictionary
 from .metrics import MatchCountError, match_and_rmse
 from .msbl import msbl_estimates
 from .pairing import pair_estimates, select_peaks
-from .signal_model import Scene, Source, UraConfig, noise_power, synthesize_snapshots
+from .signal_model import Scene, Source, UraConfig, in_unit_disk, noise_power, synthesize_snapshots
 
 __all__ = [
     "ExperimentConfig",
@@ -54,6 +54,7 @@ EXPERIMENT_KINDS = ("exp1", "exp2", "exp3", "custom")
 ALGORITHMS = ("hmsbl", "msbl")
 
 GENERATOR_KINDS = ("grid_product", "random_on_grid")
+_MAX_DRAWS = 2000  # random_on_grid draws before a placement is given up
 
 _REQUIRED = object()
 
@@ -349,12 +350,11 @@ def _cross_validate(config):
                      for key, grid in (("u_indices", grid_u), ("v_indices", grid_v))
                      for i in gen[key] if i >= grid.size]
         if not grid_errs:
-            for iu in gen["u_indices"]:
-                for iv in gen["v_indices"]:
-                    u, v = grid_u.points[iu], grid_v.points[iv]
-                    if u**2 + v**2 > 1.0:
-                        grid_errs.append(
-                            f"scene.generator: grid point ({u:.4f}, {v:.4f}) violates u^2 + v^2 <= 1")
+            u, v = np.meshgrid(grid_u.points[gen["u_indices"]], grid_v.points[gen["v_indices"]],
+                               indexing="ij")
+            off = ~in_unit_disk(u, v)
+            grid_errs = [f"scene.generator: grid point ({a:.4f}, {b:.4f}) violates u^2 + v^2 <= 1"
+                         for a, b in zip(u[off], v[off])]
         errs.extend(grid_errs)
     if gen is not None and gen["kind"] == "random_on_grid" and gen["k"] > min(config.mu, config.mv):
         errs.append(f"scene.generator.k: must be <= min(mu, mv) = {min(config.mu, config.mv)}, "
@@ -406,14 +406,14 @@ def scene_for_trial(config: ExperimentConfig, trial: int) -> Scene:
                  num_snapshots=config.num_snapshots, seed=scene_seed)
 
 
-def _draw_random_sources(k, min_sep, grid_u, grid_v, rng, max_tries=2000):
+def _draw_random_sources(k, min_sep, grid_u, grid_v, rng):
     """k feasible on-grid sources with pairwise-distinct, separated u and v."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         iu = rng.choice(grid_u.size, size=k, replace=False)
         iv = rng.choice(grid_v.size, size=k, replace=False)
         u = grid_u.points[iu]
         v = grid_v.points[iv]
-        if np.any(u**2 + v**2 > 1.0):
+        if not in_unit_disk(u, v).all():
             continue
         du = np.abs(u[:, None] - u[None, :])[np.triu_indices(k, 1)]
         dv = np.abs(v[:, None] - v[None, :])[np.triu_indices(k, 1)]
@@ -437,20 +437,18 @@ def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int):
     """Allocation of v counts to blocks, as (block, count) pairs.  Explicit
     config counts go to the strongest peaks in order; otherwise one source
     per peak, falling back to spreading the counts evenly over the strongest
-    active blocks."""
-    masked = np.where(state.active, state.gamma, 0.0)
+    active blocks (gamma > 0)."""
     if config.allocation is not None:
-        sel = select_peaks(masked, grid_u, len(config.allocation))
+        sel = select_peaks(state.gamma, grid_u, len(config.allocation))
         return list(zip(sel.indices, config.allocation))
-    sel = select_peaks(masked, grid_u, min(k, grid_u.size))
-    idx = [i for i in sel.indices if state.active[i] and state.gamma[i] > 0]
+    sel = select_peaks(state.gamma, grid_u, min(k, grid_u.size))
+    idx = [i for i in sel.indices if state.gamma[i] > 0]
     if len(idx) >= k:
         return [(i, 1) for i in idx[:k]]
     # fewer usable peaks than sources: spread the counts evenly over the
     # active blocks, stronger ones first; a block holds at most ny - 1
-    active = np.flatnonzero(state.active)
-    order = active[np.argsort(-state.gamma[active], kind="stable")]
-    n = len(order)
+    n = int(np.count_nonzero(state.gamma > 0))
+    order = np.argsort(-state.gamma, kind="stable")[:n]
     if k > n * (state.block_size - 1):
         raise solver.SolverError(f"cannot allocate {k} sources across {n} active blocks")
     return [(order[j], k // n + (j < k % n)) for j in range(min(n, k))]

@@ -66,7 +66,7 @@ def select_peaks(gamma, grid_u: Grid1D, k_peaks: int) -> PeakSelection:
     return PeakSelection(indices=tuple(order[:k_peaks].tolist()), fallback=True)
 
 
-def root_music_v(b: np.ndarray, k: int, gap_tol: float = _GAP_TOL) -> RootMusicEstimate:
+def root_music_v(b: np.ndarray, k: int) -> RootMusicEstimate:
     """Root the MUSIC polynomial of a block correlation matrix.
 
     Parameters
@@ -119,7 +119,7 @@ def root_music_v(b: np.ndarray, k: int, gap_tol: float = _GAP_TOL) -> RootMusicE
     return RootMusicEstimate(
         values=values,
         eigen_gap=gap,
-        low_confidence=bool(gap < gap_tol or degenerate),
+        low_confidence=bool(gap < _GAP_TOL or degenerate),
     )
 
 

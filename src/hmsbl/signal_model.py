@@ -25,13 +25,19 @@ __all__ = [
     "Scene",
     "SnapshotSet",
     "angles_to_uv",
+    "in_unit_disk",
     "noise_power",
     "synthesize_snapshots",
     "sample_covariance",
 ]
 
-# slack for direction cosines computed from angles in floating point
+# slack for direction cosines computed in floating point (angles, grid points)
 _DISK_TOL = 1e-12
+
+
+def in_unit_disk(u, v):
+    """u^2 + v^2 <= 1 up to ``_DISK_TOL``, elementwise: the one form of the rule."""
+    return np.square(u) + np.square(v) <= 1.0 + _DISK_TOL
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,8 @@ class Source:
     def __post_init__(self):
         if not (-1.0 <= self.u <= 1.0) or not (-1.0 <= self.v <= 1.0):
             raise ValueError(f"direction cosines must lie in [-1, 1], got ({self.u}, {self.v})")
-        r = self.u**2 + self.v**2
-        if r > 1.0 + _DISK_TOL:
-            raise ValueError(f"infeasible direction: u^2 + v^2 = {r} exceeds 1")
+        if not in_unit_disk(self.u, self.v):
+            raise ValueError(f"infeasible direction: u^2 + v^2 = {self.u**2 + self.v**2} exceeds 1")
 
 
 @dataclass(frozen=True)

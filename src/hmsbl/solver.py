@@ -127,12 +127,16 @@ class HMsblParams:
 
 @dataclass
 class HMsblState:
-    """Mutable solver state: block powers, correlations, noise variance."""
+    """Mutable solver state: block powers, correlations, noise variance.
+    A block is active while its power is positive; pruning zeroes it."""
 
     gamma: np.ndarray
     b_mats: np.ndarray
     noise_var: float
-    active: np.ndarray
+
+    @property
+    def active(self) -> np.ndarray:
+        return self.gamma > 0
 
     @property
     def n_blocks(self) -> int:
@@ -183,11 +187,17 @@ class Posterior:
 
 @dataclass
 class RunDiagnostics:
+    """What one ``run`` did: its costs (the start's first), per-iteration
+    seconds and active counts, and whether the cost stop fired."""
+
     cost_trace: list
     iter_seconds: list
     active_counts: list
-    n_iters: int
     converged: bool
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.iter_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +375,7 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
         lam = float(params.lambda_value)
     else:
         lam = 0.01 * float(np.trace(scm).real) / op.n_rows
-    return HMsblState(
-        gamma=gamma,
-        b_mats=b_mats,
-        noise_var=lam,
-        active=np.ones(op.n_blocks, dtype=bool),
-    )
+    return HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam)
 
 
 def _scaled_prior(state: HMsblState) -> np.ndarray:
@@ -382,11 +387,11 @@ def _active_part(op, state: HMsblState):
     """(operator, state) of the active blocks of ``state`` alone: ``op`` and
     ``state`` themselves while every block is active, else ``op`` restricted
     to those blocks and a state holding copies of their gamma and B."""
-    if state.active.all():
-        return op, state
     index = np.flatnonzero(state.active)
+    if index.size == state.n_blocks:
+        return op, state
     live = HMsblState(gamma=state.gamma[index], b_mats=state.b_mats[index],
-                      noise_var=state.noise_var, active=np.ones(index.size, dtype=bool))
+                      noise_var=state.noise_var)
     return op.restrict(index), live
 
 
@@ -444,7 +449,7 @@ def _moment_blocks(post, n_blocks: int, block_size: int, n_snapshots: int) -> np
     return _hermitize(post.sigma_blocks + outer)
 
 
-def update_gamma(post, state: HMsblState, n_snapshots: int, b_loading: float = 1e-10) -> np.ndarray:
+def update_gamma(post, state: HMsblState, n_snapshots: int, b_loading: float) -> np.ndarray:
     """Block powers gamma_i = tr(B_i^-1 (Sigma_x^i + mu^i mu^iH / L)) / b.
 
     ``post`` is a ``Posterior`` or any object with its ``mu`` and
@@ -468,13 +473,13 @@ def update_b(post, state: HMsblState, n_snapshots: int) -> np.ndarray:
     """Unit-Frobenius correlation update B_i = (moment_i / gamma_i) scaled
     to unit Frobenius norm.
 
-    ``post`` is as for ``update_gamma``.  Uses the gamma values already placed in ``state`` by this iteration's
-    gamma update.  Blocks that are inactive or have zero gamma keep their
-    previous correlation matrix.  Pushing the removed norm back into gamma
-    gives gamma_i B_i = moment_i, which is the step ``run`` takes.
+    ``post`` is as for ``update_gamma``.  Uses the gamma that this
+    iteration's gamma update placed in ``state``; inactive blocks (gamma = 0)
+    keep their previous B.  Pushing the removed norm back into gamma gives
+    gamma_i B_i = moment_i, which is the step ``run`` takes.
     """
     moments = _moment_blocks(post, state.n_blocks, state.block_size, n_snapshots)
-    ok = state.active & (state.gamma > 0)
+    ok = state.active
     pre = moments[ok] / state.gamma[ok, None, None]
     fro = np.sqrt(np.einsum("mab,mab->m", pre, pre.conj()).real)
     if np.any(fro == 0):
@@ -500,7 +505,7 @@ def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) 
     n = op.n_rows
     L = y.n_snapshots
     lam = misfit / (n * L)
-    lam += _lambda_penalty(op.factor, np.where(state.active, state.gamma, 0.0), state.noise_var)
+    lam += _lambda_penalty(op.factor, state.gamma, state.noise_var)
     floor = 1e-12 * float(np.linalg.norm(y.y, "fro") ** 2) / (L * n)
     return max(lam, floor)
 
@@ -512,18 +517,18 @@ def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
-    """Deactivation mask after thresholding block powers.
+    """Activity mask after thresholding block powers.
 
-    Drops gamma_i < prune_tol * max_j gamma_j over the active blocks.
-    Deactivation is permanent: the returned mask is a subset of the
-    current one.
+    Keeps gamma_i >= prune_tol * max_j gamma_j.  The threshold is positive,
+    so the mask is a subset of the active set (gamma_i > 0): a block whose
+    power is 0 stays out.
     """
     if not state.active.any():
         raise SolverError("no active blocks to prune")
     if params.prune_tol == 0:
-        return state.active.copy()
-    thr = params.prune_tol * float(state.gamma[state.active].max())
-    mask = state.active & (state.gamma >= thr)
+        return state.active
+    thr = params.prune_tol * float(state.gamma.max())
+    mask = state.gamma >= thr
     if not mask.any():
         raise SolverError("pruning removed every block (degenerate fit)")
     return mask
@@ -598,7 +603,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     scm = sample_covariance(data)
 
     # the loop runs on ``cop``, the operator restricted to the active blocks,
-    # their Gamma_i ``scaled``, and ``live``, their gamma, activity and B:
+    # their Gamma_i ``scaled``, and ``live``, their gamma and B:
     # ``op`` and ``state`` themselves until the active set first shrinks
     cop, live = op, state
     scaled = _scaled_prior(state)
@@ -616,7 +621,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             cop = op.restrict(np.flatnonzero(state.active))
             scaled = scaled[kept]
             live = HMsblState(gamma=live.gamma[kept], b_mats=live.b_mats[kept],
-                              noise_var=state.noise_var, active=np.ones(cop.n_blocks, dtype=bool))
+                              noise_var=state.noise_var)
             marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         post = marginal
         moments = _moments(cop, marginal)
@@ -630,7 +635,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             moments[~alive] = 0.0
         flat = moments.reshape(cop.n_blocks, -1).view(float)  # real and imaginary parts
         fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
-        scaled, live.gamma, live.active = moments, fro, alive
+        scaled, live.gamma = moments, fro
         if live is not state:
             state.gamma[cop.index] = fro
 
@@ -650,7 +655,6 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
                 state.b_mats[cop.index] = live.b_mats
         if shrank:
             gone = np.flatnonzero(~kept) if cop.index is None else cop.index[~kept]
-            state.active[gone] = False
             state.gamma[gone] = 0.0
             marginal = None
 
@@ -661,13 +665,6 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         if converged:
             break
 
-    if post is None:
-        post = marginal
-    diagnostics = RunDiagnostics(
-        cost_trace=cost_trace,
-        iter_seconds=iter_seconds,
-        active_counts=active_counts,
-        n_iters=len(iter_seconds),
-        converged=converged,
-    )
-    return state, post, diagnostics
+    diagnostics = RunDiagnostics(cost_trace=cost_trace, iter_seconds=iter_seconds,
+                                 active_counts=active_counts, converged=converged)
+    return state, marginal if post is None else post, diagnostics

@@ -119,8 +119,7 @@ def test_criterion_02_posterior_matches_dense_conditioning():
             gamma = rng.uniform(0.05, 2.0, size=pair.grid_u.size)
             b_mats = np.array([_hermitian_psd(rng, ny) for _ in range(gamma.size)])
             lam = float(rng.uniform(0.05, 0.5))
-            state = HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam,
-                               active=np.ones(gamma.size, dtype=bool))
+            state = HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam)
             ymat = rng.standard_normal((m_rows, L)) + 1j * rng.standard_normal((m_rows, L))
             y = SnapshotSet(y=ymat, nx=nx, ny=ny, n_snapshots=L)
             post = e_step(y, state, pair)

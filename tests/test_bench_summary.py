@@ -49,6 +49,16 @@ def test_summarise_pairs_runs_and_fills_missing_shas(tmp_path):
     assert shared["metrics"]["trials_per_s"]["change_better_pairs"] == 2
 
 
+def test_an_unfilled_sha_is_written_as_null(tmp_path):
+    _write_side(tmp_path / "p", None, [2.0, 2.2])
+    _write_side(tmp_path / "c", "c" * 40, [1.0, 1.1])
+    out = tmp_path / "BENCH_t.json"
+    assert bench_summary.main(["--label", "t", "--parent", str(tmp_path / "p"),
+                               "--change", str(tmp_path / "c"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["git_sha"] == {"parent": [None], "change": ["c" * 40]}
+    assert '"None"' not in out.read_text()
+
+
 def test_a_recorded_sha_that_differs_is_refused(tmp_path):
     change = bench_summary.load_side(_write_side(tmp_path / "c", "c" * 40, [1.0]))
     with pytest.raises(SystemExit, match="records git_sha c+, not d+"):

@@ -86,6 +86,17 @@ def test_kron_dictionary_feasibility_pruning():
     assert full.size == 9
 
 
+def test_kron_dictionary_pruning_is_symmetric():
+    # on an 11-point grid (0.6000000000000001, +-0.8) lies on the unit
+    # circle up to rounding, as (-0.6, +-0.8) does: both are kept
+    g = uniform_grid(11)
+    kd = kron_dictionary(dictionary_pair(UraConfig(2, 2), g, g), prune=True)
+    assert kd.size == 81
+    for axis in (0, 1):
+        per_point = np.bincount(np.searchsorted(g.points, kd.column_labels[:, axis]), minlength=11)
+        np.testing.assert_array_equal(per_point, per_point[::-1])
+
+
 def test_kron_dictionary_can_prune_everything():
     g = Grid1D(np.array([1.0]))
     pair = dictionary_pair(UraConfig(2, 2), g, g)

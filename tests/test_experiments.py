@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pickle
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hmsbl import cli
 from hmsbl.dictionary import uniform_grid
 from hmsbl.experiments import (
     ALGORITHMS,
@@ -161,6 +163,29 @@ def test_validate_grid_product_indices():
     assert any("u_indices" in e and "99" in e for e in errors)
 
 
+def test_grid_product_boundary_point_validates_and_builds():
+    # on an 11-point grid (points[8], points[9]) = (0.6000000000000001, 0.8)
+    # lies on the unit circle up to rounding; the generator accepts it as an
+    # explicit source does
+    u, v = uniform_grid(11).points[[8, 9]]
+    assert u ** 2 + v ** 2 > 1.0
+    cfg = _base_config(grids={"mu": 11, "mv": 11})
+    cfg["scene"]["sources"] = [{"u": u, "v": v}]
+    assert validate_config(_dumps(cfg))[1] == []
+    cfg["scene"] = {"snr_db": 20, "num_snapshots": 40,
+                    "generator": {"kind": "grid_product", "u_indices": [8], "v_indices": [9]}}
+    config, errors = validate_config(_dumps(cfg))
+    assert errors == []
+    [source] = scene_for_trial(config, 0).sources
+    assert (source.u, source.v) == (u, v)
+    # points off the disk are still named, u-major
+    cfg["scene"]["generator"].update(u_indices=[0, 8], v_indices=[9, 0])
+    assert validate_config(_dumps(cfg))[1] == [
+        "scene.generator: grid point (-1.0000, 0.8000) violates u^2 + v^2 <= 1",
+        "scene.generator: grid point (-1.0000, -1.0000) violates u^2 + v^2 <= 1",
+        "scene.generator: grid point (0.6000, -1.0000) violates u^2 + v^2 <= 1"]
+
+
 def test_validate_exp1_needs_sweep():
     cfg = _base_config(experiment="exp1")
     config, errors = validate_config(_dumps(cfg))
@@ -230,20 +255,29 @@ def test_exp3_records_an_algorithm_with_no_estimate_at_any_iteration():
                  "2 sources across 1 active blocks"}]
 
 
-def _snr_300_exp3_config():
-    # lam = 1e-30 is below the signal power's rounding error, so Sigma_y
-    # stops being numerically positive definite after some iterations
+def _small_exp3_config():
     with open(os.path.join(_REPO, "configs/exp3.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     cfg.update(trials=1, grids={"mu": 16, "mv": 16}, budgets=[10, 50])
-    cfg["scene"]["snr_db"] = 300
     for spec in cfg["solvers"].values():
         spec["max_iters"] = 50
     return cfg
 
 
-def test_exp3_records_a_failed_solve_and_keeps_its_curve():
-    config, errors = validate_config(_dumps(_snr_300_exp3_config()))
+def _fail_solves_after(monkeypatch, n_iters):
+    # every solve fails by construction: the real EM runs n_iters
+    # iterations, each handed to the observer as usual, then raises
+    monkeypatch.delenv("HMSBL_WORKERS", raising=False)  # solves stay in this process
+
+    def failing(y, dictionary, params, on_iteration=None):
+        run(y, dictionary, dataclasses.replace(params, max_iters=n_iters), on_iteration)
+        raise SolverError(f"injected failure after {n_iters} iterations")
+    monkeypatch.setattr("hmsbl.solver.run", failing)
+
+
+def test_exp3_records_a_failed_solve_and_keeps_its_curve(monkeypatch):
+    _fail_solves_after(monkeypatch, 25)
+    config, errors = validate_config(_dumps(_small_exp3_config()))
     assert errors == []
     record = run_experiment(config)
     trial = record.trials[0]
@@ -255,18 +289,29 @@ def test_exp3_records_a_failed_solve_and_keeps_its_curve():
         ran = np.flatnonzero(~np.isnan(curve))
         # the iterations that ran keep their values; NaN from the failure on
         assert len(curve) == 50 and 10 <= len(ran) < 50
+        assert len(ran) == 25
         assert np.array_equal(ran, np.arange(len(ran)))
         assert np.isfinite(record.aggregate["budgets"]["10"][algo])
         assert np.isnan(record.aggregate["budgets"]["50"][algo])
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at snr_db 300 (lam = 1e-30) Sigma_y stops being numerically "
+                          "positive definite after some iterations")
+def test_exp3_solves_at_snr_300():
+    cfg = _small_exp3_config()
+    cfg["scene"]["snr_db"] = 300
+    config, errors = validate_config(_dumps(cfg))
+    assert errors == []
+    record = run_experiment(config)
+    assert record.errors == []
+
+
 def test_hmsbl_allocation_stacks_counts_on_the_strongest_blocks():
-    # masked powers [1, 3, 0, 2, 0, 0] have two usable peaks, so more
+    # powers [1, 3, 0, 2, 0, 0] (0: pruned) have two usable peaks, so more
     # sources than that spread over the active blocks 1, 3, 0 (descending
     # gamma), at most ny - 1 = 3 each
-    state = SimpleNamespace(gamma=np.array([1.0, 3.0, 5.0, 2.0, 0.5, 0.1]),
-                            active=np.array([True, True, False, True, False, False]),
-                            block_size=4)
+    state = SimpleNamespace(gamma=np.array([1.0, 3.0, 0.0, 2.0, 0.0, 0.0]), block_size=4)
     grid = uniform_grid(6)
     config = SimpleNamespace(allocation=None)
 
@@ -754,12 +799,12 @@ def test_cli_bench_reports_config_error_on_one_line(tmp_path):
         "error: scene.generator: could not place 6 sources with separation 0.9"]
 
 
-def test_cli_run_completes_when_a_solve_fails(tmp_path):
+def test_cli_run_completes_when_a_solve_fails(tmp_path, monkeypatch, capsys):
+    _fail_solves_after(monkeypatch, 25)
     p = tmp_path / "c.json"
-    p.write_text(_dumps(_snr_300_exp3_config()))
-    r = _run_cli(["run", str(p), "--out", str(tmp_path)])
-    assert r.returncode == 0, r.stderr
-    assert r.stderr.splitlines() == ["2 trial(s) failed; see record.json errors[]"]
+    p.write_text(_dumps(_small_exp3_config()))
+    assert cli.main(["run", str(p), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == ["2 trial(s) failed; see record.json errors[]"]
     assert len(json.loads((tmp_path / "record.json").read_text())["errors"]) == 2
 
 

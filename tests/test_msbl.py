@@ -49,21 +49,21 @@ def test_msbl_recovers_on_grid_sources():
     assert post.mu.shape[1] == y.n_snapshots
 
 
-def _flat_state(gamma, active):
+def _flat_state(gamma):
     return HMsblState(gamma=np.array(gamma), b_mats=np.ones((len(gamma), 1, 1), dtype=complex),
-                      noise_var=0.1, active=np.array(active))
+                      noise_var=0.1)
 
 
 _LABELS = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
 
 
 def test_msbl_estimates_tie_breaks_to_lower_index():
-    state = _flat_state([1.0, 2.0, 2.0], [True, True, True])
+    state = _flat_state([1.0, 2.0, 2.0])
     np.testing.assert_array_equal(msbl_estimates(state, _LABELS, 2), [[0.1, 0.0], [0.2, 0.0]])
 
 
 def test_msbl_estimates_skips_inactive():
-    state = _flat_state([5.0, 1.0, 0.5], [False, True, True])
+    state = _flat_state([0.0, 1.0, 0.5])  # column 0 pruned
     np.testing.assert_array_equal(msbl_estimates(state, _LABELS, 2), [[0.1, 0.0], [0.2, 0.0]])
     with pytest.raises(ValueError):
         msbl_estimates(state, _LABELS, 3)  # only two active points
@@ -73,22 +73,22 @@ def test_msbl_estimates_skips_inactive():
 
 def test_msbl_estimates_equal_a_full_stable_sort():
     # the partial selection must pick what a stable argsort of every active
-    # power picks, also with many ties at the k-th value and inactive columns
+    # power picks, also with many ties at the k-th value and pruned columns
     rng = np.random.default_rng(31)
     for trial in range(300):
         n = int(rng.integers(1, 40))
-        gamma = rng.integers(0, 5, size=n).astype(float)  # few distinct values: ties
+        gamma = rng.integers(1, 5, size=n).astype(float)  # few distinct values: ties
         if trial % 2:
             gamma += rng.uniform(size=n) * (rng.uniform(size=n) < 0.5)
-        active = rng.uniform(size=n) < 0.7
-        if not active.any():
-            active[int(rng.integers(n))] = True
-        gamma[~active] = rng.uniform(0, 10, size=(~active).sum())  # stale powers
+        pruned = rng.uniform(size=n) >= 0.7
+        if pruned.all():
+            pruned[int(rng.integers(n))] = False
+        gamma[pruned] = 0.0
         labels = np.column_stack([np.arange(n), -np.arange(n)]).astype(float)
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(~pruned)
         for k in range(1, idx.size + 1):
             want = idx[np.argsort(-gamma[idx], kind="stable")][:k]
-            got = msbl_estimates(_flat_state(gamma, active), labels, k)
+            got = msbl_estimates(_flat_state(gamma), labels, k)
             np.testing.assert_array_equal(got, labels[want])
 
 

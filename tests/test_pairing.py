@@ -117,7 +117,8 @@ def test_root_music_flags_small_gap():
     # one strong and one weak component, ask for only the strong one:
     # the 1st-to-2nd eigenvalue gap is tiny relative to the leading one
     b = _corr([0.5, -0.5], 4, weights=[1.0, 0.999])
-    est = root_music_v(b, 1, gap_tol=0.3)
+    est = root_music_v(b, 1)
+    assert est.eigen_gap < 0.01
     assert est.low_confidence
 
 
@@ -155,8 +156,7 @@ def _state_with_blocks(blocks, gamma, ny):
     m = len(blocks)
     return HMsblState(gamma=np.asarray(gamma, dtype=float),
                       b_mats=np.array(blocks),
-                      noise_var=0.1,
-                      active=np.asarray(gamma, dtype=float) > 0)
+                      noise_var=0.1)
 
 
 def test_pair_estimates_two_blocks():

@@ -9,6 +9,7 @@ from hmsbl.signal_model import (
     Source,
     UraConfig,
     angles_to_uv,
+    in_unit_disk,
     noise_power,
     sample_covariance,
     synthesize_snapshots,
@@ -57,6 +58,19 @@ def test_source_feasibility():
         Source(0.8, 0.7)
     with pytest.raises(ValueError):
         Source(1.2, 0.0)
+
+
+def test_in_unit_disk_is_elementwise_with_rounding_slack():
+    u = np.array([0.6000000000000001, 0.6, 0.8, 1.0, 0.0])
+    v = np.array([0.8, 0.8, 0.7, 1e-5, -1.0])
+    assert u[0] ** 2 + v[0] ** 2 > 1.0  # a rounding error above the circle
+    np.testing.assert_array_equal(in_unit_disk(u, v), [True, True, False, False, True])
+    for a, b, ok in zip(u, v, in_unit_disk(u, v)):
+        if ok:
+            Source(float(a), float(b))
+        else:
+            with pytest.raises(ValueError):
+                Source(float(a), float(b))
 
 
 def test_scene_validation():

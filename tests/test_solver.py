@@ -52,8 +52,7 @@ def _random_state(rng, m, b, lam=0.05):
         h = a @ a.conj().T + 0.1 * np.eye(b)
         b_mats[i] = h / np.linalg.norm(h, "fro")
     b_mats = 0.5 * (b_mats + b_mats.conj().swapaxes(-1, -2))  # exactly Hermitian
-    return HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam,
-                      active=np.ones(m, dtype=bool))
+    return HMsblState(gamma=gamma, b_mats=b_mats, noise_var=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +112,7 @@ def test_e_step_flat_matches_dense_oracle():
     kd = kron_dictionary(pair, prune=True)
     m = kd.size
     gamma = rng.uniform(0.05, 1.0, size=m)
-    state = HMsblState(gamma=gamma, b_mats=np.ones((m, 1, 1), dtype=complex),
-                       noise_var=0.07, active=np.ones(m, dtype=bool))
+    state = HMsblState(gamma=gamma, b_mats=np.ones((m, 1, 1), dtype=complex), noise_var=0.07)
     post = e_step(y, state, kd)
     mu_o, var_o = dense_flat_posterior(y.y, kd.matrix, gamma, 0.07)
     assert np.max(np.abs(post.mu - mu_o)) < 1e-10
@@ -125,11 +123,9 @@ def test_e_step_respects_inactive_blocks():
     rng = np.random.default_rng(4)
     y, pair = _random_instance(rng)
     state = _random_state(rng, m=5, b=2)
-    state.active[2] = False
+    state.gamma[2] = 0.0  # pruned
     post = e_step(y, state, pair)
-    gz = state.gamma.copy()
-    gz[2] = 0.0
-    mu_o, _ = dense_posterior(y.y, pair.phi_u, 2, gz, state.b_mats, state.noise_var)
+    mu_o, _ = dense_posterior(y.y, pair.phi_u, 2, state.gamma, state.b_mats, state.noise_var)
     assert np.max(np.abs(post.mu - mu_o)) < 1e-10
     assert np.all(post.mu.reshape(5, 2, -1)[2] == 0)
 
@@ -144,10 +140,10 @@ def test_update_gamma_diagonal_example():
     state = HMsblState(
         gamma=np.array([1.0]),
         b_mats=(np.eye(2, dtype=complex) / np.sqrt(2))[None],
-        noise_var=0.1, active=np.array([True]))
+        noise_var=0.1)
     post = SimpleNamespace(mu=np.zeros((2, 4), dtype=complex),
                            sigma_blocks=np.diag([a, b]).astype(complex)[None])
-    got = update_gamma(post, state, n_snapshots=4)
+    got = update_gamma(post, state, n_snapshots=4, b_loading=HMsblParams().b_loading)
     assert got[0] == pytest.approx(np.sqrt(2) * (a + b) / 2, rel=1e-8)
 
 
@@ -158,10 +154,9 @@ def test_update_gamma_fixed_point():
     bmat = a @ a.conj().T + 0.5 * np.eye(3)
     bmat /= np.linalg.norm(bmat, "fro")
     c = 2.37
-    state = HMsblState(gamma=np.array([1.0]), b_mats=bmat[None], noise_var=0.1,
-                       active=np.array([True]))
+    state = HMsblState(gamma=np.array([1.0]), b_mats=bmat[None], noise_var=0.1)
     post = SimpleNamespace(mu=np.zeros((3, 5), dtype=complex), sigma_blocks=(c * bmat)[None])
-    got = update_gamma(post, state, n_snapshots=5)
+    got = update_gamma(post, state, n_snapshots=5, b_loading=HMsblParams().b_loading)
     assert got[0] == pytest.approx(c, rel=1e-7)
 
 
@@ -171,17 +166,18 @@ def test_update_gamma_uses_snapshot_average():
     mu = np.column_stack([m, m])
     state = HMsblState(gamma=np.array([1.0]),
                        b_mats=np.eye(2, dtype=complex)[None] / np.sqrt(2),
-                       noise_var=0.1, active=np.array([True]))
+                       noise_var=0.1)
     post = SimpleNamespace(mu=mu, sigma_blocks=np.zeros((1, 2, 2), dtype=complex))
-    got = update_gamma(post, state, n_snapshots=2)
+    got = update_gamma(post, state, n_snapshots=2, b_loading=HMsblParams().b_loading)
     want = np.sqrt(2) * np.trace(np.outer(m, m.conj())).real / 2
     assert got[0] == pytest.approx(want, rel=1e-8)
 
 
 def test_update_gamma_block_size_one():
-    # b = 1: gamma_i = moment_i / (B_i + loading), no matrix solve
-    state = HMsblState(gamma=np.ones(3), b_mats=np.array([0.5, 2.0, 1.0])[:, None, None] + 0j,
-                       noise_var=0.1, active=np.array([True, True, False]))
+    # b = 1: gamma_i = moment_i / (B_i + loading), no matrix solve; the
+    # pruned block 2 stays at zero
+    state = HMsblState(gamma=np.array([1.0, 1.0, 0.0]),
+                       b_mats=np.array([0.5, 2.0, 1.0])[:, None, None] + 0j, noise_var=0.1)
     post = SimpleNamespace(mu=np.zeros((3, 2), dtype=complex),
                            sigma_blocks=np.array([0.3, 0.8, 0.4])[:, None, None] + 0j)
     got = update_gamma(post, state, n_snapshots=2, b_loading=1e-3)
@@ -192,7 +188,7 @@ def test_update_b_identity_moment():
     # [DERIVED] moment I (2x2), gamma 1 -> B = I / sqrt(2)
     state = HMsblState(gamma=np.array([1.0]),
                        b_mats=np.eye(2, dtype=complex)[None],
-                       noise_var=0.1, active=np.array([True]))
+                       noise_var=0.1)
     post = SimpleNamespace(mu=np.zeros((2, 3), dtype=complex),
                            sigma_blocks=np.eye(2, dtype=complex)[None])
     got = update_b(post, state, n_snapshots=3)
@@ -204,7 +200,7 @@ def test_update_b_rank_one_moment():
     m = np.array([1.0, 1j, -0.5], dtype=complex)
     state = HMsblState(gamma=np.array([0.9]),
                        b_mats=np.eye(3, dtype=complex)[None] / np.sqrt(3),
-                       noise_var=0.1, active=np.array([True]))
+                       noise_var=0.1)
     post = SimpleNamespace(mu=m[:, None], sigma_blocks=np.zeros((1, 3, 3), dtype=complex))
     got = update_b(post, state, n_snapshots=1)
     want = np.outer(m, m.conj()) / (np.linalg.norm(m) ** 2)
@@ -215,7 +211,7 @@ def test_update_b_rank_one_moment():
 def test_update_b_keeps_inactive_blocks():
     rng = np.random.default_rng(6)
     state = _random_state(rng, m=3, b=2)
-    state.active[1] = False
+    state.gamma[1] = 0.0  # pruned
     old = state.b_mats.copy()
     post = SimpleNamespace(mu=rng.standard_normal((6, 4)) + 0j,
                            sigma_blocks=np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy())
@@ -250,8 +246,7 @@ def test_update_lambda_floor():
     x = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     d = np.kron(pair.phi_u, np.eye(2))
     y = SnapshotSet(y=d @ x, nx=2, ny=2, n_snapshots=4)
-    state = HMsblState(gamma=np.zeros(3), b_mats=_random_state(rng, 3, 2).b_mats,
-                       noise_var=0.1, active=np.ones(3, dtype=bool))
+    state = HMsblState(gamma=np.zeros(3), b_mats=_random_state(rng, 3, 2).b_mats, noise_var=0.1)
     misfit = float(np.linalg.norm(y.y - d @ x, "fro") ** 2)
     got = update_lambda(y, misfit, state, pair)
     floor = 1e-12 * np.linalg.norm(y.y, "fro") ** 2 / (4 * 4)  # L = 4, n = 4 rows
@@ -280,7 +275,7 @@ def test_ml_cost_identity_case():
     y, pair = _random_instance(rng)
     state = HMsblState(gamma=np.zeros(5),
                        b_mats=np.broadcast_to(np.eye(2, dtype=complex) / np.sqrt(2), (5, 2, 2)).copy(),
-                       noise_var=1.0, active=np.ones(5, dtype=bool))
+                       noise_var=1.0)
     got = ml_cost(y, state, pair)
     assert got == pytest.approx(np.trace(sample_covariance(y)).real, rel=1e-12)
 
@@ -300,8 +295,7 @@ def test_ml_cost_flat_matches_dense_oracle():
     y, pair = _random_instance(rng, nx=2, ny=2)
     kd = kron_dictionary(pair)
     gamma = rng.uniform(0.01, 0.5, size=kd.size)
-    state = HMsblState(gamma=gamma, b_mats=np.ones((kd.size, 1, 1), dtype=complex),
-                       noise_var=0.15, active=np.ones(kd.size, dtype=bool))
+    state = HMsblState(gamma=gamma, b_mats=np.ones((kd.size, 1, 1), dtype=complex), noise_var=0.15)
     got = ml_cost(y, state, kd)
     want = dense_flat_cost(sample_covariance(y), kd.matrix, gamma, 0.15)
     assert got == pytest.approx(want, rel=1e-10)
@@ -338,8 +332,9 @@ def test_operator_kernels_match_dense_products(nx, ny, m, kind):
     n_blocks, n_snap = d.shape[1] // b, 3
 
     state = _random_state(rng, n_blocks, b)
-    state.active = rng.uniform(size=n_blocks) < 0.6  # partially pruned
-    state.active[0] = True
+    keep = rng.uniform(size=n_blocks) < 0.6  # partially pruned
+    keep[0] = True
+    state.gamma[~keep] = 0.0
     scaled = solver._scaled_prior(state)
     want = d @ block_diag_prior(np.ones(n_blocks), scaled) @ d.conj().T
     assert np.max(np.abs(op.signal_cov(scaled) - want)) < 1e-12
@@ -372,9 +367,10 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
         op, b, a = solver._ColumnOperator(d), 1, d
     n_blocks = d.shape[1] // b
     state = _random_state(rng, n_blocks, b, lam=0.3)
-    state.active = rng.uniform(size=n_blocks) < 0.6  # partially pruned
-    state.active[0] = True
-    gamma = np.where(state.active, state.gamma, 0.0)
+    keep = rng.uniform(size=n_blocks) < 0.6  # partially pruned
+    keep[0] = True
+    state.gamma[~keep] = 0.0
+    gamma = state.gamma
     data = compress_snapshots(y) if compress else y
     assert (data.y.shape[1] < n_snap) == compress
 
@@ -420,9 +416,9 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
         op, b = solver._ColumnOperator(d), 1
     n_blocks, n = d.shape[1] // b, nx * ny
     state = _random_state(rng, n_blocks, b, lam=0.2)
-    state.active = rng.uniform(size=n_blocks) < 0.6
-    state.active[0] = True
-    state.gamma[~state.active] = 0.0
+    keep = rng.uniform(size=n_blocks) < 0.6
+    keep[0] = True
+    state.gamma[~keep] = 0.0
     y = _cplx(rng, n, 4)
     scm = y @ y.conj().T / 4
 
@@ -549,10 +545,24 @@ def test_run_posterior_is_formed_on_first_access(monkeypatch):
 # pruning
 
 
+def test_state_activity_is_read_off_gamma():
+    # a block is active while its power is positive; there is no second,
+    # settable record of it
+    state = HMsblState(gamma=np.array([2.0, 0.0, 1e-300]),
+                       b_mats=np.ones((3, 1, 1), dtype=complex), noise_var=0.1)
+    np.testing.assert_array_equal(state.active, [True, False, True])
+    state.gamma[0] = 0.0
+    np.testing.assert_array_equal(state.active, [False, False, True])
+    with pytest.raises(AttributeError):
+        state.active = np.ones(3, dtype=bool)
+    with pytest.raises(TypeError):
+        HMsblState(gamma=state.gamma, b_mats=state.b_mats, noise_var=0.1,
+                   active=np.ones(3, dtype=bool))
+
+
 def test_prune_relative_threshold():
     state = HMsblState(gamma=np.array([1.0, 1e-2, 1e-5, 0.0]),
-                       b_mats=np.ones((4, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.ones(4, dtype=bool))
+                       b_mats=np.ones((4, 1, 1), dtype=complex), noise_var=0.1)
     got = prune(state, HMsblParams(prune_tol=1e-3))
     np.testing.assert_array_equal(got, [True, True, False, False])
     state.gamma *= 1e6  # the threshold scales with the largest power
@@ -560,24 +570,29 @@ def test_prune_relative_threshold():
 
 
 def test_prune_zero_tol_disables():
-    state = HMsblState(gamma=np.array([1.0, 0.0]), b_mats=np.ones((2, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.array([True, False]))
+    state = HMsblState(gamma=np.array([1.0, 1e-9]), b_mats=np.ones((2, 1, 1), dtype=complex),
+                       noise_var=0.1)
+    got = prune(state, HMsblParams(prune_tol=0.0))
+    np.testing.assert_array_equal(got, [True, True])
+    state.gamma[1] = 0.0
     got = prune(state, HMsblParams(prune_tol=0.0))
     np.testing.assert_array_equal(got, [True, False])
 
 
 def test_prune_is_permanent():
-    # a deactivated block stays out even if its stale gamma is large
-    state = HMsblState(gamma=np.array([5.0, 1.0]), b_mats=np.ones((2, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.array([False, True]))
-    got = prune(state, HMsblParams(prune_tol=1e-3))
-    np.testing.assert_array_equal(got, [False, True])
+    # a pruned block (gamma = 0) stays out at any tolerance: the mask is a
+    # subset of the active set
+    state = HMsblState(gamma=np.array([0.0, 1.0]), b_mats=np.ones((2, 1, 1), dtype=complex),
+                       noise_var=0.1)
+    for tol in (0.0, 1e-3, 1.0):
+        got = prune(state, HMsblParams(prune_tol=tol))
+        np.testing.assert_array_equal(got, [False, True])
 
 
 def test_prune_all_would_die():
     # a tolerance above 1 is above even the largest power
     state = HMsblState(gamma=np.array([1.0, 0.5]), b_mats=np.ones((2, 1, 1), dtype=complex),
-                       noise_var=0.1, active=np.ones(2, dtype=bool))
+                       noise_var=0.1)
     with pytest.raises(SolverError, match="pruning removed every block"):
         prune(state, HMsblParams(prune_tol=2.0))
 
@@ -700,7 +715,7 @@ def test_run_m_step_is_gamma_then_b_then_pushback(monkeypatch, nx, ny, flat):
 
     def grab(it, state, post):
         states.append(HMsblState(gamma=state.gamma.copy(), b_mats=state.b_mats.copy(),
-                                 noise_var=state.noise_var, active=state.active.copy()))
+                                 noise_var=state.noise_var))
 
     run(y, dictionary, params, on_iteration=grab)
     assert len(moments) == params.max_iters
@@ -708,8 +723,7 @@ def test_run_m_step_is_gamma_then_b_then_pushback(monkeypatch, nx, ny, flat):
     for prev, m, nxt in zip(states, moments, states[1:]):
         post = SimpleNamespace(mu=np.zeros((m.shape[0] * m.shape[1], 1), dtype=complex), sigma_blocks=m)
         g = update_gamma(post, prev, 1, params.b_loading)
-        mid = HMsblState(gamma=g, b_mats=prev.b_mats, noise_var=prev.noise_var,
-                         active=prev.active & (g > 0))
+        mid = HMsblState(gamma=g, b_mats=prev.b_mats, noise_var=prev.noise_var)
         b_mats = update_b(post, mid, 1)
         ok = mid.active
         pushed = np.zeros_like(g)
@@ -744,8 +758,7 @@ def test_benchmark_probe_calls_match_the_run(flat):
         assert cost == fresh.cost and np.isfinite(cost)
         costs.append(cost)
 
-        mid = HMsblState(gamma=g, b_mats=state.b_mats, noise_var=state.noise_var,
-                         active=state.active & (g > 0))
+        mid = HMsblState(gamma=g, b_mats=state.b_mats, noise_var=state.noise_var)
         b_mid = update_b(post, mid, data.n_snapshots)
         moments = solver._moment_blocks(post, state.n_blocks, state.block_size, data.n_snapshots)
         act = state.active
@@ -919,7 +932,7 @@ def test_run_reuses_factor_exactly():
 
     def grab(it, state, post):
         states.append(HMsblState(gamma=state.gamma.copy(), b_mats=state.b_mats.copy(),
-                                 noise_var=state.noise_var, active=state.active.copy()))
+                                 noise_var=state.noise_var))
         posts.append(SimpleNamespace(mu=post.mu.copy(), sigma_blocks=post.sigma_blocks.copy()))
 
     run(y, pair, params, on_iteration=grab)

@@ -14,8 +14,8 @@ BENCHMARK.json it holds each side's median and quartiles
 median over the parent's, and in how many pairs the change read better.
 The environment fingerprint and the git SHA of each side come from the
 result files.  A checkout exported without its git history records the SHA
-as None; ``--parent-sha``/``--change-sha`` fill it in, and a result file
-that records a different SHA is refused.  The file records measurements and
+as None, written as JSON null; ``--parent-sha``/``--change-sha`` fill it
+in, and a result file that records a different SHA is refused.  The file records measurements and
 applies no bound.
 """
 
@@ -78,8 +78,8 @@ def summarise(parent, change, metrics):
     both = [parent[k] for k in keys] + [change[k] for k in keys]
     summary = {
         "environment": {key: one_value(both, key) for key in ENVIRONMENT},
-        "git_sha": {"parent": sorted({str(parent[k]["fingerprint"]["git_sha"]) for k in keys}),
-                    "change": sorted({str(change[k]["fingerprint"]["git_sha"]) for k in keys})},
+        "git_sha": {name: sorted({side[k]["fingerprint"]["git_sha"] for k in keys}, key=str)
+                    for name, side in (("parent", parent), ("change", change))},
         "seconds": one_value(both, "seconds"),
         "workloads": {},
     }
