@@ -11,6 +11,11 @@ already says otherwise: the solver's largest dense matrix is (nx ny)^2, on
 which BLAS threads cost more than they save, and trial-level parallelism
 comes from HMSBL_WORKERS processes, which inherit the setting.  It takes
 effect only when hmsbl is imported before numpy.
+
+Importing the package loads numpy but not SciPy.  ``scipy.linalg`` is
+imported at the first solve and ``scipy.optimize`` at the first match, so
+validating a config or writing plot CSVs from a saved record never loads
+SciPy.
 """
 
 import os

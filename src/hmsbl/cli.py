@@ -63,7 +63,8 @@ def _cmd_bench(args):
         return 1
     record = experiments.ResultRecord(
         experiment=config.experiment, config=config.to_dict(),
-        tool_version=__version__, created_utc="", timing=rows,
+        tool_version=__version__, created_utc="", environment=experiments._environment(),
+        timing=rows,
         aggregate={"timing": assessment},
     )
     paths = experiments.emit_plot_data(record, "timing", args.out)
@@ -82,7 +83,7 @@ def _cmd_emit_plots(args):
     try:
         paths = experiments.emit_plot_data(record, args.kind, args.out)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: cannot emit plots from record {args.record}: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(f"wrote {path}")

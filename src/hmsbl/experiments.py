@@ -13,16 +13,16 @@ Three stock scenarios compare the block solver against the flat baseline:
 ``custom`` runs the generic trial engine on any valid config.  Configs are
 single JSON documents; ``validate_config`` collects every problem instead
 of stopping at the first.  Records are reproducible from (config, seed)
-except for timestamps and wall-clock fields.
+except for timestamps, wall-clock fields and the environment fingerprint.
 """
 
-import concurrent.futures
 import copy
 import csv
 import datetime
 import functools
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -121,7 +121,7 @@ _FIELDS = (
 _GROUPS = ("array", "scene", "grids")
 
 # record keys that vary run to run and are excluded from reproducibility
-_VOLATILE_KEYS = {"created_utc", "seconds", "per_iteration_seconds", "iter_seconds",
+_VOLATILE_KEYS = {"created_utc", "environment", "seconds", "per_iteration_seconds", "iter_seconds",
                   "hmsbl_variation", "hmsbl_variation_raw"}
 
 
@@ -579,6 +579,8 @@ def _map_trials(fn, config: ExperimentConfig):
     trials = range(config.trials)
     if workers == 1:
         return [fn(config, t) for t in trials]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(fn, config, t): t for t in trials}
         results = [None] * config.trials
@@ -702,6 +704,27 @@ def run_bench(config: ExperimentConfig):
     return rows, assessment
 
 
+def _environment() -> dict:
+    """The fingerprint a record carries: Python, numpy and SciPy versions,
+    the BLAS numpy was built against, the BLAS thread variables and the CPU
+    count."""
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "thread_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run_experiment(config: ExperimentConfig) -> "ResultRecord":
     """Dispatch a validated config to its scenario and collect a record."""
     record = ResultRecord(
@@ -709,6 +732,7 @@ def run_experiment(config: ExperimentConfig) -> "ResultRecord":
         config=config.to_dict(),
         tool_version=__version__,
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        environment=_environment(),
     )
     if config.experiment == "exp1":
         rows, assessment = run_bench(config)
@@ -790,12 +814,17 @@ def _collect_errors(record):
 
 @dataclass
 class ResultRecord:
-    """Everything one experiment produced, JSON-serializable."""
+    """Everything one experiment produced, JSON-serializable.
+
+    ``environment`` is the fingerprint of the process that made it
+    (``_environment()``); a record saved before records carried one loads
+    with an empty dict."""
 
     experiment: str
     config: dict
     tool_version: str
     created_utc: str
+    environment: dict = field(default_factory=dict)
     trials: list = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
     timing: list = field(default_factory=list)
@@ -851,34 +880,36 @@ def emit_plot_data(record: ResultRecord, kind: str = "all", out_dir="."):
 
     ``kind`` is one of timing, scatter, convergence, or all.  Headers are
     always written, so an empty record yields header-only files.  Floats are
-    written with repr so parsing them back is bit-exact.  Returns the paths
-    written.
+    written with repr so parsing them back is bit-exact.  Every section is
+    read before any file is written: a malformed one raises ValueError
+    naming it, and nothing is written.  Returns the paths written.
     """
     kinds = list(_CSV_LAYOUT) if kind == "all" else [kind]
     if any(k not in _CSV_LAYOUT for k in kinds):
         raise ValueError(f"kind must be one of {list(_CSV_LAYOUT) + ['all']}, got {kind!r}")
+    tables = {k: _csv_rows(record, k) for k in kinds}
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for k in kinds:
+    for k, rows in tables.items():
         name, header = _CSV_LAYOUT[k]
         path = os.path.join(out_dir, name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in _csv_rows(record, k):
-                writer.writerow([_csv_cell(v) for v in row])
+            writer.writerows([_csv_cell(v) for v in row] for row in rows)
         paths.append(path)
     return paths
 
 
 def _csv_rows(record: ResultRecord, kind: str):
-    if kind != "convergence":  # rows of the record, read through the header
-        header = _CSV_LAYOUT[kind][1]
-        return [[r[key] for key in header] for r in getattr(record, kind)]
-    rows = []
-    for algo, curve in record.convergence.items():
-        rows.extend([it, rmse, algo] for it, rmse in curve)
-    return rows
+    try:
+        if kind != "convergence":  # rows of the record, read through the header
+            header = _CSV_LAYOUT[kind][1]
+            return [[r[key] for key in header] for r in getattr(record, kind)]
+        return [[it, rmse, algo] for algo, curve in record.convergence.items()
+                for it, rmse in curve]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind!r} section ({type(exc).__name__}: {exc})") from None
 
 
 def _csv_cell(value):

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["MatchReport", "MatchCountError", "match_and_rmse"]
 
@@ -34,10 +33,14 @@ class MatchCountError(ValueError):
 def match_and_rmse(estimates, truth) -> MatchReport:
     """Optimally assign estimates to truth sources and report errors.
 
-    Both arguments are array-likes of (u, v) rows.  The assignment is scipy's ``linear_sum_assignment``, exact for square
-    and rectangular costs alike.  Raises MatchCountError (with the exact
-    partial report) when the two sets differ in size.
+    Both arguments are array-likes of (u, v) rows.  The assignment is
+    scipy's ``linear_sum_assignment``, exact for square and rectangular
+    costs alike; SciPy is imported at the first call, not with the package.
+    Raises MatchCountError (with the exact partial report) when the two
+    sets differ in size.
     """
+    from scipy.optimize import linear_sum_assignment
+
     est = np.asarray(estimates, dtype=float).reshape(-1, 2)
     tru = np.asarray(truth, dtype=float).reshape(-1, 2)
     if tru.shape[0] == 0:

@@ -40,6 +40,8 @@ GEMMs (the misfit only when the noise update reads it), so per-iteration
 cost never depends on the number of snapshots or on any v-grid size.  Those
 statistics of one prior are its ``Posterior``;
 ``e_step``, ``ml_cost`` and ``run`` all get theirs from ``_marginal``.
+``_marginal`` takes LAPACK from ``scipy.linalg``, which it imports at the
+first solve: importing this module does not load SciPy.
 
 Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
 ``run`` leaves them out: it works on the operator restricted to the active
@@ -56,7 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .dictionary import DictionaryPair, KronDictionary
 from .signal_model import SnapshotSet, sample_covariance
@@ -402,8 +403,11 @@ def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet, scm: np.nda
     GEMMs.
 
     LAPACK is called directly: ``zpotrf`` factors Sigma_y and ``zpotrs``
-    solves against the identity for R.
+    solves against the identity for R.  SciPy is imported here, at the first
+    solve, not with the package: validating a config never loads it.
     """
+    from scipy.linalg import lapack
+
     sy = op.signal_cov(scaled)
     n = op.n_rows
     sy.flat[::n + 1] += lam

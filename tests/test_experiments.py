@@ -549,6 +549,52 @@ def test_emit_plot_data_rejects_unknown_kind(tmp_path):
         emit_plot_data(record, "heatmap", str(tmp_path))
 
 
+@pytest.mark.parametrize("section, value, error", [
+    ("scatter", [{"u": 0.1, "is_truth": 1, "algorithm": "truth"}], "KeyError: 'v'"),
+    ("convergence", [1, 2], "AttributeError"),
+    ("timing", [["a"]], "TypeError"),
+])
+def test_cli_emit_plots_malformed_record_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                    section, value, error):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"experiment": "custom", "config": {}, "tool_version": "x",
+                                "created_utc": "now", section: value}))
+    out = tmp_path / "plots"
+    assert cli.main(["emit-plots", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot emit plots from record {path}: malformed {section!r} section")
+    assert error in line
+    assert not out.exists()
+
+
+def test_records_carry_an_environment_fingerprint_outside_comparison():
+    config, _ = validate_config(_dumps(_base_config(trials=1)))
+    r1, r2 = run_experiment(config), run_experiment(config)
+    assert set(r1.environment) == {"python", "numpy", "scipy", "blas", "thread_env", "cpu_count"}
+    assert r1.environment["numpy"] == np.__version__
+    assert set(r1.environment["thread_env"]) == {"OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert r1.to_dict()["environment"] == r1.environment
+    assert "environment" not in r1.comparable_dict()
+    r2.environment = dict(r2.environment, cpu_count=-1)
+    assert r1.comparable_dict() == r2.comparable_dict()
+
+
+def test_record_saved_without_environment_loads_and_emits_plots(tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({
+        "experiment": "exp1", "config": {}, "tool_version": "0.1.0", "created_utc": "now",
+        "timing": [{"mv": 5, "algorithm": "hmsbl", "seconds": 0.5, "per_iteration_seconds": 0.01}],
+        "scatter": [{"u": 0.1, "v": 0.2, "is_truth": 1, "algorithm": "truth"}],
+        "convergence": {}, "trials": [], "aggregate": {}, "errors": []}))
+    record = ResultRecord.load(path)
+    assert record.environment == {}
+    assert cli.main(["emit-plots", str(path), "--out", str(tmp_path / "plots")]) == 0
+    with open(tmp_path / "plots" / "timing.csv") as fh:
+        assert list(csv.DictReader(fh))[0]["seconds"] == "0.5"
+
+
 def test_generic_trial_records_estimates_and_provenance_of_the_reader():
     # an exp2 trial, shortened: the record holds the reader's (K, 2) pairs
     # as lists and its per-block rooting dicts, keys in this order
