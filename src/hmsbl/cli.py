@@ -2,7 +2,7 @@
 
     hmsbl validate CONFIG            check a config, list every problem
     hmsbl run CONFIG [--out DIR]     run the experiment, write record + CSVs
-    hmsbl bench CONFIG [--out DIR]   timing sweep only
+    hmsbl bench CONFIG [--out DIR]   timing sweep only, write record + timing CSV
     hmsbl emit-plots RECORD [...]    regenerate plot CSVs from a record
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
@@ -61,13 +61,10 @@ def _cmd_bench(args):
     except (SolverError, DegenerateInputError, experiments.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    record = experiments.ResultRecord(
-        experiment=config.experiment, config=config.to_dict(),
-        tool_version=__version__, created_utc="", environment=experiments._environment(),
-        timing=rows,
-        aggregate={"timing": assessment},
-    )
-    paths = experiments.emit_plot_data(record, "timing", args.out)
+    record = experiments._new_record(config)
+    record.timing = rows
+    record.aggregate["timing"] = assessment
+    paths = experiments._save_record(record, args.out, "timing")
     for path in paths:
         print(f"wrote {path}")
     print(json.dumps(assessment, indent=2))

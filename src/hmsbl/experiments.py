@@ -725,15 +725,20 @@ def _environment() -> dict:
     }
 
 
-def run_experiment(config: ExperimentConfig) -> "ResultRecord":
-    """Dispatch a validated config to its scenario and collect a record."""
-    record = ResultRecord(
+def _new_record(config: ExperimentConfig) -> "ResultRecord":
+    """``config``'s empty record, stamped now, with this process's fingerprint."""
+    return ResultRecord(
         experiment=config.experiment,
         config=config.to_dict(),
         tool_version=__version__,
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         environment=_environment(),
     )
+
+
+def run_experiment(config: ExperimentConfig) -> "ResultRecord":
+    """Dispatch a validated config to its scenario and collect a record."""
+    record = _new_record(config)
     if config.experiment == "exp1":
         rows, assessment = run_bench(config)
         record.timing = rows
@@ -847,9 +852,11 @@ class ResultRecord:
 
     @classmethod
     def load(cls, path) -> "ResultRecord":
+        """The record at ``path``; keys that are not fields of this record
+        are ignored, so a newer version's record still loads."""
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-        return cls(**d)
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _strip_volatile(obj):
@@ -922,9 +929,12 @@ def run_and_save(config: ExperimentConfig, out_dir=None):
     """Run an experiment, write record.json plus the plot CSVs, and return
     (record, written paths)."""
     record = run_experiment(config)
-    target = out_dir or config.output_dir or "."
-    os.makedirs(target, exist_ok=True)
-    record_path = os.path.join(target, "record.json")
+    return record, _save_record(record, out_dir or config.output_dir or ".", "all")
+
+
+def _save_record(record: ResultRecord, out_dir, kind: str):
+    """Write record.json and the ``kind`` CSVs into ``out_dir``; return their paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    record_path = os.path.join(out_dir, "record.json")
     record.write(record_path)
-    paths = [record_path] + emit_plot_data(record, "all", target)
-    return record, paths
+    return [record_path] + emit_plot_data(record, kind, out_dir)

@@ -44,11 +44,11 @@ statistics of one prior are its ``Posterior``;
 first solve: importing this module does not load SciPy.
 
 Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
-``run`` leaves them out: it works on the operator restricted to the active
-blocks, whose tables are slices of the full operator's, taken again only
-when the active set shrinks.  The state and posterior it reports still
-cover every block, zero on inactive ones; ``mu`` and ``sigma_blocks`` of
-a posterior are computed only when first read.
+``run`` leaves them out: it works on the operator restricted to the
+active blocks, whose tables are slices of the full operator's, taken
+again only when the active set shrinks.  Its one state, and the posterior
+it reports, cover every block, zero on inactive ones; ``mu`` and
+``sigma_blocks`` of a posterior are computed only when first read.
 """
 
 import copy
@@ -278,11 +278,6 @@ class _KronIdentityOperator(_BlockOperator):
         r = rinv.reshape(nx, b, nx, b).transpose(2, 0, 1, 3).reshape(nx * nx, b * b)
         return (self.outer @ r).reshape(self.n_blocks, b, b)
 
-    def gram_fro(self) -> float:
-        # || (Phi Phi^H) kron I ||_F = || Phi Phi^H ||_F * sqrt(b)
-        g = self.factor @ self.factor.conj().T
-        return float(np.linalg.norm(g, "fro") * math.sqrt(self.block_size))
-
 
 class _ColumnOperator(_BlockOperator):
     """Arbitrary dictionary columns treated as blocks of width one.
@@ -314,18 +309,6 @@ class _ColumnOperator(_BlockOperator):
         t = rinv @ self.factor
         q = np.einsum("xp,xp->p", self.factor, np.conj(t, out=t)).conj()
         return q[:, None, None]
-
-    def gram_fro(self) -> float:
-        return float(np.linalg.norm(self.factor @ self.factor.conj().T, "fro"))
-
-
-def _lambda_penalty(a: np.ndarray, gamma: np.ndarray, lam: float) -> float:
-    """(lam / n_a) tr(A Gamma A^H (A Gamma A^H + lam I)^-1) for the factor
-    matrix A of either operator (Phi_u, or the flat dictionary)."""
-    g = (a * gamma) @ a.conj().T
-    n_a = a.shape[0]
-    tr = np.trace(np.linalg.solve(g + lam * np.eye(n_a), g)).real
-    return lam * tr / n_a
 
 
 def _operator_for(dictionary, y: SnapshotSet):
@@ -359,8 +342,9 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
     """Data-scaled flat start.
 
     gamma_i = ||Y Y^H / L||_F / ||D D^H||_F for the solver's own effective
-    dictionary D, B_i = I / sqrt(b), lambda from ``params`` in fixed mode or
-    0.01 tr(S_hat) / n in adaptive mode.
+    dictionary D = A kron I_b, so ||D D^H||_F = ||A A^H||_F sqrt(b) for the
+    operator's factor A; B_i = I / sqrt(b), lambda from ``params`` in fixed
+    mode or 0.01 tr(S_hat) / n in adaptive mode.
     """
     op = _operator_for(dictionary, y)
     scm = sample_covariance(y)
@@ -369,9 +353,9 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
         raise DegenerateInputError("snapshot matrix carries no energy")
     if op.n_blocks == 0:
         raise DegenerateInputError("dictionary has no columns")
-    gamma = np.full(op.n_blocks, data_fro / op.gram_fro())
-    b0 = np.eye(op.block_size, dtype=complex) / math.sqrt(op.block_size)
-    b_mats = np.broadcast_to(b0, (op.n_blocks, op.block_size, op.block_size)).copy()
+    a, b = op.factor, op.block_size
+    gamma = np.full(op.n_blocks, data_fro / (np.linalg.norm(a @ a.conj().T, "fro") * math.sqrt(b)))
+    b_mats = np.broadcast_to(np.eye(b, dtype=complex) / math.sqrt(b), (op.n_blocks, b, b)).copy()
     if params.lambda_mode == "fixed":
         lam = float(params.lambda_value)
     else:
@@ -385,15 +369,22 @@ def _scaled_prior(state: HMsblState) -> np.ndarray:
 
 
 def _active_part(op, state: HMsblState):
-    """(operator, state) of the active blocks of ``state`` alone: ``op`` and
-    ``state`` themselves while every block is active, else ``op`` restricted
-    to those blocks and a state holding copies of their gamma and B."""
+    """(operator, at) of the active blocks of ``state``: the operator of those
+    blocks alone and where they sit in ``state``; ``op`` and ``slice(None)``,
+    which indexes views, while every block is active."""
     index = np.flatnonzero(state.active)
     if index.size == state.n_blocks:
-        return op, state
-    live = HMsblState(gamma=state.gamma[index], b_mats=state.b_mats[index],
-                      noise_var=state.noise_var)
-    return op.restrict(index), live
+        return op, slice(None)
+    return op.restrict(index), index
+
+
+def _store_b(state: HMsblState, at, moments: np.ndarray, gamma: np.ndarray, where: np.ndarray):
+    """B_i = M_i / gamma_i into ``state`` for the blocks ``where`` of the
+    loop's blocks, which sit at ``at`` in it."""
+    b_mats = state.b_mats[at]  # a view while ``at`` is slice(None), else a copy
+    np.divide(moments, gamma[:, None, None], out=b_mats, where=where[:, None, None])
+    if not isinstance(at, slice):
+        state.b_mats[at] = b_mats
 
 
 def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet, scm: np.ndarray) -> Posterior:
@@ -441,8 +432,8 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
         raise ValueError("noise variance must be > 0")
     if not state.active.any():
         raise SolverError("no active blocks left")
-    op, live = _active_part(_operator_for(dictionary, y), state)
-    post = _marginal(op, _scaled_prior(live), live.noise_var, y, sample_covariance(y))
+    op, at = _active_part(_operator_for(dictionary, y), state)
+    post = _marginal(op, _scaled_prior(state)[at], state.noise_var, y, sample_covariance(y))
     post.mu, post.sigma_blocks  # the E-step proper: evaluate both now
     return post
 
@@ -509,15 +500,17 @@ def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) 
     n = op.n_rows
     L = y.n_snapshots
     lam = misfit / (n * L)
-    lam += _lambda_penalty(op.factor, state.gamma, state.noise_var)
+    a, lam0, n_a = op.factor, state.noise_var, op.factor.shape[0]
+    g = (a * state.gamma) @ a.conj().T
+    lam += lam0 * np.trace(np.linalg.solve(g + lam0 * np.eye(n_a), g)).real / n_a
     floor = 1e-12 * float(np.linalg.norm(y.y, "fro") ** 2) / (L * n)
     return max(lam, floor)
 
 
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
-    op, live = _active_part(_operator_for(dictionary, y), state)
-    return _marginal(op, _scaled_prior(live), live.noise_var, y, sample_covariance(y)).cost
+    op, at = _active_part(_operator_for(dictionary, y), state)
+    return _marginal(op, _scaled_prior(state)[at], state.noise_var, y, sample_covariance(y)).cost
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
@@ -568,13 +561,13 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     The M-step Gamma_i <- M_i is the exact EM maximizer (``update_gamma``
     then ``update_b``, with the removed Frobenius scale pushed back into
     gamma), so the cost trace is non-increasing while lambda is fixed and
-    pruning is off.  The loop carries Gamma_i itself and reads only
-    gamma_i = ||M_i||_F of the split; a block whose moment has a
-    non-positive trace leaves the active set with Gamma_i = 0.
-    B_i = M_i / gamma_i is formed only where the state leaves the loop:
-    before each ``on_iteration`` call, for the blocks a prune drops, and
-    once when the loop ends; a block whose moment dies keeps the B of its
-    last moment.  So a run's result does not depend on an observer.
+    pruning is off.  The loop carries Gamma_i itself and writes only
+    gamma_i = ||M_i||_F of the split into the state each iteration; a block
+    whose moment has a non-positive trace leaves the active set with
+    Gamma_i = 0.  B_i = M_i / gamma_i is written only where the state leaves
+    the loop: before each ``on_iteration`` call, for the blocks a prune
+    drops, and once when the loop ends; a block whose moment dies keeps the
+    B of its last moment.  So a run's result does not depend on an observer.
 
     Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
     docstring): one Cholesky factorisation per iteration gives the
@@ -583,14 +576,15 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     iteration's posterior, with its moments and noise misfit.  The operator
     is built once and handed to ``init_state`` and ``update_lambda``.
 
-    Sigma_y assembly, the moments and the M-step run on the active blocks
-    only.  After an iteration in which a block left the active set (pruned,
-    or a non-positive moment trace), the next one slices the operator's
-    tables and Gamma down to the blocks left, where it re-factors Sigma_y
-    anyway.  Until the set first shrinks ``run`` works on ``state`` itself,
-    so a run that never prunes never gathers or scatters.  The noise
-    update's penalty takes the full Phi_u (nx x Mu) with gamma = 0 on
-    inactive blocks.
+    ``run`` keeps one state over every block.  Sigma_y assembly, the
+    moments and the M-step run on the operator restricted to the active
+    blocks, which sit at ``at`` in the state.  After an iteration in which a
+    block left the active set (pruned, or a non-positive moment trace), the
+    next one slices the operator's tables and Gamma down to the blocks left,
+    where it re-factors Sigma_y anyway.  Until the set first shrinks ``at``
+    is ``slice(None)``, so a run whose active set never shrinks never
+    gathers or scatters.  Pruning and the noise update's penalty (the full
+    Phi_u, nx x Mu) read the whole state, with gamma = 0 on inactive blocks.
 
     ``on_iteration(iteration, state, posterior)`` is invoked after every
     completed iteration (1-based); ``state`` covers every block, with
@@ -607,10 +601,9 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     scm = sample_covariance(data)
 
     # the loop runs on ``cop``, the operator restricted to the active blocks,
-    # their Gamma_i ``scaled``, and ``live``, their gamma and B:
-    # ``op`` and ``state`` themselves until the active set first shrinks
-    cop, live = op, state
-    scaled = _scaled_prior(state)
+    # and ``scaled``, their Gamma_i; those blocks sit at ``at`` in ``state``
+    cop, at = _active_part(op, state)
+    scaled = _scaled_prior(state)[at]
     marginal = _marginal(cop, scaled, state.noise_var, data, scm)
     cost_trace = [marginal.cost]
     iter_seconds = []
@@ -622,10 +615,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         t0 = time.perf_counter()
         if marginal is None:  # the active set shrank: slice the operator again,
             post = cop = None  # never holding the old and the new slices at once
-            cop = op.restrict(np.flatnonzero(state.active))
+            cop, at = _active_part(op, state)
             scaled = scaled[kept]
-            live = HMsblState(gamma=live.gamma[kept], b_mats=live.b_mats[kept],
-                              noise_var=state.noise_var)
             marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         post = marginal
         moments = _moments(cop, marginal)
@@ -634,32 +625,26 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
             if not alive.any():
                 raise SolverError("all block powers collapsed to zero")
             if it > 1:  # a dying block keeps the B of its last moment
-                np.divide(marginal.scaled, live.gamma[:, None, None], out=live.b_mats,
-                          where=~alive[:, None, None])
+                _store_b(state, at, marginal.scaled, state.gamma[at], ~alive)
             moments[~alive] = 0.0
         flat = moments.reshape(cop.n_blocks, -1).view(float)  # real and imaginary parts
         fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
-        scaled, live.gamma = moments, fro
-        if live is not state:
-            state.gamma[cop.index] = fro
+        scaled, state.gamma[at] = moments, fro
 
         if params.lambda_mode == "adaptive":
-            live.noise_var = state.noise_var = update_lambda(data, post.misfit, state, op)
+            state.noise_var = update_lambda(data, post.misfit, state, op)
 
         marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         cost_trace.append(marginal.cost)
         prev = cost_trace[-2]
         converged = abs(marginal.cost - prev) / max(1.0, abs(prev)) < params.cost_tol
-        kept = prune(live, params)
+        mask = prune(state, params)  # inactive blocks have gamma = 0: never kept
+        kept = mask[at]
         shrank = not kept.all()  # a block died or was pruned
         if shrank or converged or on_iteration is not None or it == params.max_iters:
-            # hand B out before a pruned block's gamma is zeroed
-            np.divide(moments, fro[:, None, None], out=live.b_mats, where=alive[:, None, None])
-            if live is not state:
-                state.b_mats[cop.index] = live.b_mats
+            _store_b(state, at, moments, fro, alive)
         if shrank:
-            gone = np.flatnonzero(~kept) if cop.index is None else cop.index[~kept]
-            state.gamma[gone] = 0.0
+            state.gamma[~mask] = 0.0
             marginal = None
 
         iter_seconds.append(time.perf_counter() - t0)

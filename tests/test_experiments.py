@@ -595,6 +595,35 @@ def test_record_saved_without_environment_loads_and_emits_plots(tmp_path):
         assert list(csv.DictReader(fh))[0]["seconds"] == "0.5"
 
 
+def test_record_with_keys_of_a_newer_writer_loads_and_emits_plots(tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({
+        "experiment": "exp1", "config": {}, "tool_version": "9.9.9", "created_utc": "now",
+        "timing": [{"mv": 5, "algorithm": "hmsbl", "seconds": 0.5, "per_iteration_seconds": 0.01}],
+        "provenance": {"host": "elsewhere"}, "schema": 2}))
+    record = ResultRecord.load(path)
+    assert record.tool_version == "9.9.9" and not hasattr(record, "provenance")
+    assert cli.main(["emit-plots", str(path), "--kind", "timing",
+                     "--out", str(tmp_path / "plots")]) == 0
+    with open(tmp_path / "plots" / "timing.csv") as fh:
+        assert list(csv.DictReader(fh))[0]["seconds"] == "0.5"
+
+
+@pytest.mark.parametrize("missing", ["experiment", "config", "tool_version", "created_utc"])
+def test_cli_emit_plots_record_without_a_header_field_exits_2(tmp_path, capsys, missing):
+    header = {"experiment": "custom", "config": {}, "tool_version": "x", "created_utc": "now"}
+    del header[missing]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(dict(header, extra=1)))
+    out = tmp_path / "plots"
+    assert cli.main(["emit-plots", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot load record {path}: ") and repr(missing) in line
+    assert not out.exists()
+
+
 def test_generic_trial_records_estimates_and_provenance_of_the_reader():
     # an exp2 trial, shortened: the record holds the reader's (K, 2) pairs
     # as lists and its per-block rooting dicts, keys in this order
@@ -843,6 +872,23 @@ def test_cli_bench_reports_config_error_on_one_line(tmp_path):
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
         "error: scene.generator: could not place 6 sources with separation 0.9"]
+
+
+def test_cli_bench_writes_a_record_with_timing_and_environment(tmp_path, capsys):
+    cfg = _base_config(experiment="exp1", grids={"mu": 15, "mv": 15, "mv_sweep": [5, 10]},
+                       timing={"repetitions": 1, "iterations": 2})
+    p = tmp_path / "c.json"
+    p.write_text(_dumps(cfg))
+    out = tmp_path / "bench"
+    assert cli.main(["bench", str(p), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["record.json", "timing.csv"]
+    record = ResultRecord.load(out / "record.json")
+    assert record.experiment == "exp1" and record.created_utc
+    assert record.environment
+    printed = capsys.readouterr().out.split("\n", 2)
+    assert printed[:2] == [f"wrote {out / 'record.json'}", f"wrote {out / 'timing.csv'}"]
+    assert record.aggregate["timing"] == json.loads(printed[2])
+    assert sorted({row["mv"] for row in record.timing}) == [5, 10]
 
 
 def test_cli_run_completes_when_a_solve_fails(tmp_path, monkeypatch, capsys):

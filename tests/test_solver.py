@@ -375,9 +375,10 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     assert (data.y.shape[1] < n_snap) == compress
 
     # run() works on the active blocks alone and scatters back to all of them
-    cop, live = solver._active_part(op, state)
-    assert cop.n_blocks == live.n_blocks == state.active.sum()
-    post = solver._marginal(cop, solver._scaled_prior(live), live.noise_var, data,
+    cop, at = solver._active_part(op, state)
+    assert cop.n_blocks == state.active.sum()
+    np.testing.assert_array_equal(at, np.flatnonzero(state.active))
+    post = solver._marginal(cop, solver._scaled_prior(state)[at], state.noise_var, data,
                             sample_covariance(data))
     if kind == "kron":
         mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
@@ -398,7 +399,7 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
         assert np.max(np.abs(post.mu - mu_o)) < 1e-10
     g = (a * gamma) @ a.conj().T
     pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(a.shape[0]), g)).real / a.shape[0]
-    got = update_lambda(data, post.misfit, live, cop)
+    got = update_lambda(data, post.misfit, state, op)  # as run() calls it
     assert got == pytest.approx(misfit_o / (n * n_snap) + pen, rel=1e-10)
 
 
@@ -827,6 +828,33 @@ def test_a_block_that_dies_keeps_the_b_of_its_last_moment(monkeypatch, observed)
     assert diag.active_counts == [6, 6, 5, 5, 5] and not state.active[2]
     want = moments[1][2] / np.linalg.norm(moments[1][2])
     assert np.max(np.abs(state.b_mats[2] - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_a_block_that_dies_in_a_restricted_run_keeps_the_b_of_its_last_moment(monkeypatch, observed):
+    # block 2 dies at iteration 3, so from iteration 4 the loop runs on the
+    # restricted operator; block 4 then dies there at iteration 5.  Each
+    # keeps the B of the moment before its death, with or without an observer
+    rng = np.random.default_rng(31)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=6)
+    calls = []
+
+    def zero_blocks_2_and_4(m):
+        calls.append(1)
+        if len(calls) == 3:
+            m[2] = 0.0
+        if len(calls) == 5:
+            m[3] = 0.0  # block 4 is the fourth of the five blocks left
+        return m
+
+    moments = _recording_moments(monkeypatch, zero_blocks_2_and_4)
+    params = HMsblParams(max_iters=7, prune_tol=0.0, lambda_value=0.05)
+    observer = (lambda it, state, post: None) if observed else None
+    state, _, diag = run(y, pair, params, on_iteration=observer)
+    assert diag.active_counts == [6, 6, 5, 5, 4, 4, 4]
+    np.testing.assert_array_equal(state.active, [True, True, False, True, False, True])
+    for block, last in ((2, moments[1][2]), (4, moments[3][4])):
+        assert np.max(np.abs(state.b_mats[block] - last / np.linalg.norm(last))) <= 1e-15
 
 
 def _pruning_adaptive_case(flat, seed=41):
