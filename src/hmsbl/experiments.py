@@ -856,6 +856,8 @@ class ResultRecord:
         are ignored, so a newer version's record still loads."""
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError("the record is not a JSON object")
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 

@@ -34,7 +34,8 @@ misfit is
     ||Y - D mu||_F^2 = lam^2 L tr(R S R).
 
 One Cholesky factorisation of Sigma_y per iteration (LAPACK ``zpotrf``,
-then ``zpotrs`` against the identity) gives log det Sigma_y and R; R S R,
+then ``zpotrs`` against the identity), taken after the iteration's
+M-step, noise update and pruning, gives log det Sigma_y and R; R S R,
 the cost log det Sigma_y + tr(R S), the moments and the misfit follow by
 GEMMs (the misfit only when the noise update reads it), so per-iteration
 cost never depends on the number of snapshots or on any v-grid size.  Those
@@ -46,7 +47,7 @@ first solve: importing this module does not load SciPy.
 Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
 ``run`` leaves them out: it works on the operator restricted to the
 active blocks, whose tables are slices of the full operator's, taken
-again only when the active set shrinks.  Its one state, and the posterior
+again only when the active set shrinks.  Its one state, and the posteriors
 it reports, cover every block, zero on inactive ones; ``mu`` and
 ``sigma_blocks`` of a posterior are computed only when first read.
 """
@@ -570,21 +571,22 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     B of its last moment.  So a run's result does not depend on an observer.
 
     Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
-    docstring): one Cholesky factorisation per iteration gives the
-    ``Posterior`` of the updated prior, whose cost is the iteration's and
-    which, unless pruning then changed the active set, is the next
-    iteration's posterior, with its moments and noise misfit.  The operator
-    is built once and handed to ``init_state`` and ``update_lambda``.
+    docstring).  It prunes before it factors: one Cholesky factorisation per
+    iteration gives the ``Posterior`` of the updated and pruned prior, whose
+    cost is the iteration's (so ``cost_trace[t]`` is ``ml_cost`` of the
+    state after iteration t) and which is the next iteration's posterior,
+    with its moments and noise misfit.  The operator is built once and
+    handed to ``init_state`` and ``update_lambda``.
 
     ``run`` keeps one state over every block.  Sigma_y assembly, the
     moments and the M-step run on the operator restricted to the active
-    blocks, which sit at ``at`` in the state.  After an iteration in which a
-    block left the active set (pruned, or a non-positive moment trace), the
-    next one slices the operator's tables and Gamma down to the blocks left,
-    where it re-factors Sigma_y anyway.  Until the set first shrinks ``at``
-    is ``slice(None)``, so a run whose active set never shrinks never
-    gathers or scatters.  Pruning and the noise update's penalty (the full
-    Phi_u, nx x Mu) read the whole state, with gamma = 0 on inactive blocks.
+    blocks, which sit at ``at`` in the state.  When a block leaves the
+    active set (pruned, or a non-positive moment trace), the same iteration
+    slices the operator's tables and Gamma down to the blocks left before
+    it factors Sigma_y.  Until the set first shrinks ``at`` is
+    ``slice(None)``, so a run whose active set never shrinks never gathers
+    or scatters.  Pruning and the noise update's penalty (the full Phi_u,
+    nx x Mu) read the whole state, with gamma = 0 on inactive blocks.
 
     ``on_iteration(iteration, state, posterior)`` is invoked after every
     completed iteration (1-based); ``state`` covers every block, with
@@ -593,7 +595,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     ``sigma_blocks`` are computed on first access, over every block.  Treat
     the arguments as read-only and copy anything retained: ``run`` updates
     the state's arrays in place.
-    Returns (state, posterior, diagnostics).
+    Returns (state, posterior, diagnostics); the posterior is that of the
+    returned state, so its ``cost`` is ``diagnostics.cost_trace[-1]``.
     """
     op = _operator_for(dictionary, y)
     state = init_state(y, op, params)
@@ -609,23 +612,17 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     iter_seconds = []
     active_counts = []
     converged = False
-    post = None
 
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        if marginal is None:  # the active set shrank: slice the operator again,
-            post = cop = None  # never holding the old and the new slices at once
-            cop, at = _active_part(op, state)
-            scaled = scaled[kept]
-            marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         post = marginal
-        moments = _moments(cop, marginal)
+        moments = _moments(cop, post)
         alive = np.einsum("mkk->m", moments).real > 0
         if not alive.all():
             if not alive.any():
                 raise SolverError("all block powers collapsed to zero")
             if it > 1:  # a dying block keeps the B of its last moment
-                _store_b(state, at, marginal.scaled, state.gamma[at], ~alive)
+                _store_b(state, at, post.scaled, state.gamma[at], ~alive)
             moments[~alive] = 0.0
         flat = moments.reshape(cop.n_blocks, -1).view(float)  # real and imaginary parts
         fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
@@ -634,18 +631,19 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         if params.lambda_mode == "adaptive":
             state.noise_var = update_lambda(data, post.misfit, state, op)
 
+        mask = prune(state, params)  # inactive blocks have gamma = 0: never kept
+        kept, covered = mask[at], at  # the moments are of the blocks at ``covered``
+        shrank = not kept.all()  # a block died or was pruned
+        if shrank:
+            state.gamma[~mask] = 0.0
+            cop, at = _active_part(op, state)
+            scaled = scaled[kept]
         marginal = _marginal(cop, scaled, state.noise_var, data, scm)
         cost_trace.append(marginal.cost)
         prev = cost_trace[-2]
         converged = abs(marginal.cost - prev) / max(1.0, abs(prev)) < params.cost_tol
-        mask = prune(state, params)  # inactive blocks have gamma = 0: never kept
-        kept = mask[at]
-        shrank = not kept.all()  # a block died or was pruned
         if shrank or converged or on_iteration is not None or it == params.max_iters:
-            _store_b(state, at, moments, fro, alive)
-        if shrank:
-            state.gamma[~mask] = 0.0
-            marginal = None
+            _store_b(state, covered, moments, fro, alive)
 
         iter_seconds.append(time.perf_counter() - t0)
         active_counts.append(int(kept.sum()))
@@ -656,4 +654,4 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
 
     diagnostics = RunDiagnostics(cost_trace=cost_trace, iter_seconds=iter_seconds,
                                  active_counts=active_counts, converged=converged)
-    return state, marginal if post is None else post, diagnostics
+    return state, marginal, diagnostics

@@ -9,6 +9,7 @@ _spec = importlib.util.spec_from_file_location("compare_records", _TOOL)
 compare_records = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_records)
 diff = compare_records.diff
+by_field = compare_records.by_field
 
 
 def test_equal_records_have_no_differences():
@@ -50,3 +51,14 @@ def test_non_float_differences_are_reported_and_not_walked():
 
 def test_a_bool_is_not_a_number():
     assert diff([True], [1]) == ([], [("$[0]", True, 1)])
+
+
+def test_float_differences_are_summarised_per_field_name():
+    floats, _ = diff(
+        {"trials": [{"cost": [1.0, 2.0], "final_cost": 3.0, "rmse": 0.1}, {"final_cost": 4.0}]},
+        {"trials": [{"cost": [1.5, 2.25], "final_cost": 3.0, "rmse": 0.3}, {"final_cost": 5.0}]})
+    summary = by_field(floats)
+    assert list(summary) == ["final_cost", "cost", "rmse"]
+    assert summary["final_cost"] == (1, 1.0) and summary["cost"] == (2, 0.5)
+    assert summary["rmse"][0] == 1 and math.isclose(summary["rmse"][1], 0.2)
+    assert by_field([]) == {}

@@ -624,6 +624,19 @@ def test_cli_emit_plots_record_without_a_header_field_exits_2(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [[1], "experiment config"])
+def test_cli_emit_plots_record_that_is_not_a_json_object_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "plots"
+    assert cli.main(["emit-plots", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == f"error: cannot load record {path}: the record is not a JSON object"
+    assert not out.exists()
+
+
 def test_generic_trial_records_estimates_and_provenance_of_the_reader():
     # an exp2 trial, shortened: the record holds the reader's (K, 2) pairs
     # as lists and its per-block rooting dicts, keys in this order

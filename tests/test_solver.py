@@ -479,41 +479,44 @@ def test_adaptive_run_builds_one_operator(monkeypatch, flat):
     _, _, diag = run(y, dictionary, params)
     assert diag.n_iters == 8
     assert built == ["_ColumnOperator" if flat else "_KronIdentityOperator"]
-    # and restricts it to the blocks left once per change of the active set
-    # that a later iteration runs on
-    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts[:-1]
+    # and restricts it to the blocks left once per change of the active set,
+    # the last iteration's included
+    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
     changed = [b for a, b in zip(counts, counts[1:]) if b != a]
     assert changed and restricted == changed
 
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_run_kernels_see_only_the_active_blocks(monkeypatch, flat):
-    # every Sigma_y assembly and quadratic form of iteration t runs on the
-    # blocks left active by iteration t - 1, and the posteriors run()
-    # hands out still cover every block
+    # iteration t forms its moments (quad_blocks) on the blocks active when
+    # it starts and assembles Sigma_y (signal_cov) on the blocks it leaves
+    # active; the only other kernel call is the assembly before the loop on
+    # every block.  The posteriors run() hands out still cover every block
     rng = np.random.default_rng(33)
     y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
     dictionary = kron_dictionary(pair, prune=True) if flat else pair
-    widths = [[]]
+    calls = []
     for cls in (solver._KronIdentityOperator, solver._ColumnOperator):
         for name in ("signal_cov", "quad_blocks"):
-            def counting(self, arg, _kernel=getattr(cls, name)):
-                widths[-1].append(self.n_blocks)
+            def counting(self, arg, _kernel=getattr(cls, name), _name=name):
+                calls.append((_name, self.n_blocks))
                 return _kernel(self, arg)
             monkeypatch.setattr(cls, name, counting)
     n_all = init_state(y, dictionary, HMsblParams()).n_blocks
     shapes = []
 
     def mark(it, state, post):
-        widths.append([])
+        calls.append(("iteration", it))
         shapes.append((state.gamma.size, state.b_mats.shape[0], state.active.size))
 
     params = HMsblParams(max_iters=30, prune_tol=0.1, lambda_mode="adaptive", cost_tol=0.0)
     state, post, diag = run(y, dictionary, params, on_iteration=mark)
-    before = [n_all] + diag.active_counts[:-1]
+    before = [n_all] + diag.active_counts
     assert min(diag.active_counts) < n_all  # pruning shrank the set
-    for t, seen in enumerate(widths[:-1]):
-        assert seen and set(seen) == {before[t]}, f"iteration {t + 1}"
+    want = [("signal_cov", n_all)]
+    for t in range(1, params.max_iters + 1):
+        want += [("quad_blocks", before[t - 1]), ("signal_cov", before[t]), ("iteration", t)]
+    assert calls == want
     assert shapes == [(n_all, n_all, n_all)] * params.max_iters
     assert post.mu.shape[0] == n_all * state.block_size
     assert post.sigma_blocks.shape[0] == n_all
@@ -775,12 +778,9 @@ def test_benchmark_probe_calls_match_the_run(flat):
     assert len(errors) == 2 * params.max_iters
     assert any(partial) and not all(partial)
     assert max(errors) <= 1e-12
-    # where an iteration pruned nothing, ml_cost on the state it left is
-    # the cost run() recorded for it
-    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
-    same = [t for t in range(params.max_iters) if counts[t + 1] == counts[t]]
-    assert same
-    for t in same:
+    # ml_cost on the state each iteration left, pruned or not, is the cost
+    # run() recorded for it
+    for t in range(params.max_iters):
         assert costs[t] == pytest.approx(diag.cost_trace[t + 1], rel=1e-12)
 
 
@@ -882,6 +882,40 @@ def test_run_result_does_not_depend_on_an_observer(flat):
 
 
 @pytest.mark.parametrize("flat", [False, True])
+def test_run_factors_sigma_y_once_per_iteration(monkeypatch, flat):
+    # once before the loop and once per iteration, also in the iterations
+    # that shrink the active set
+    y, dictionary = _pruning_adaptive_case(flat)
+    calls = []
+    marginal = solver._marginal
+    monkeypatch.setattr(solver, "_marginal", lambda *args: calls.append(1) or marginal(*args))
+    params = HMsblParams(max_iters=40, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=0.0)
+    _, _, diag = run(y, dictionary, params)
+    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
+    assert sum(b < a for a, b in zip(counts, counts[1:])) >= 2  # it shrank, more than once
+    assert len(calls) == diag.n_iters + 1
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_run_returns_the_posterior_of_the_state_it_returns(flat):
+    # stopped at an iteration that shrinks the active set, run() returns the
+    # posterior of the pruned state, whose cost is the last one recorded
+    y, dictionary = _pruning_adaptive_case(flat)
+    params = HMsblParams(max_iters=40, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=0.0)
+    _, _, diag = run(y, dictionary, params)
+    counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
+    last = max(t for t in range(1, len(counts)) if counts[t] < counts[t - 1])
+    params.max_iters = last
+    state, post, diag = run(y, dictionary, params)
+    assert diag.active_counts[-1] < diag.active_counts[-2] == counts[last - 1]
+    assert post.cost == diag.cost_trace[-1]
+    assert post.cost == pytest.approx(ml_cost(compress_snapshots(y), state, dictionary), rel=1e-12)
+    assert state.active.sum() == diag.active_counts[-1]
+    assert post.sigma_blocks.shape[0] == state.n_blocks
+    assert not post.sigma_blocks[~state.active].any()
+
+
+@pytest.mark.parametrize("flat", [False, True])
 def test_run_stopped_by_cost_tol_hands_out_its_last_moment(monkeypatch, flat):
     # the state a cost_tol stop returns carries gamma_i B_i = M_i of the
     # iteration it stopped at, on every block still active
@@ -948,9 +982,9 @@ def test_run_adaptive_lambda_moves():
 
 
 def test_run_reuses_factor_exactly():
-    # run() hands the factor of each iteration's cost to the next posterior
-    # unless pruning changed the active set; either way every posterior must
-    # equal a fresh E-step on the state the previous iteration left
+    # run() hands the factor of each iteration's cost to the next posterior;
+    # every posterior must equal a fresh E-step on the state the previous
+    # iteration left
     rng = np.random.default_rng(25)
     y, pair = _random_instance(rng, nx=4, ny=3, mu=16, n_snap=20, k=2)
     params = HMsblParams(max_iters=40, compress=False, prune_tol=1e-2,

@@ -8,10 +8,12 @@ every config, each side runs ``hmsbl.experiments.run_experiment`` in a fresh
 interpreter that imports hmsbl from that checkout's ``src/``; ``--trials``
 replaces the config's trial count.  The two ``comparable_dict()`` records
 are then walked together.  Per config the tool prints how many floats
-differ, the largest absolute difference with its path, and every
-difference that is not between two floats: a changed string, integer or
-bool, a missing key, a list of another length.  The exit code is 1 when a
-non-float field differs or a float differs by more than ``--tol``, else 0.
+differ, the largest absolute difference with its path, the count and the
+largest difference for each field name (the last key of the path, list
+indices dropped), and every difference that is not between two floats: a
+changed string, integer or bool, a missing key, a list of another length.
+The exit code is 1 when a non-float field differs or a float differs by
+more than ``--tol``, else 0.
 """
 
 import argparse
@@ -82,6 +84,18 @@ def diff(parent, change, path="$"):
     return floats, others
 
 
+def by_field(floats):
+    """{field name: (count, largest difference)} of ``diff``'s float
+    differences, the largest first; the name of ``$.trials[2].cost[7]``
+    is ``cost``."""
+    fields = {}
+    for path, d in floats:
+        name = path.rsplit(".", 1)[-1].split("[", 1)[0]
+        count, worst = fields.get(name, (0, 0.0))
+        fields[name] = (count + 1, max(worst, d))
+    return dict(sorted(fields.items(), key=lambda item: -item[1][1]))
+
+
 def _start(root, config, trials):
     return subprocess.Popen(
         [sys.executable, "-c", _CHILD, os.path.join(os.path.abspath(root), "src", ""), config,
@@ -104,6 +118,8 @@ def compare(parent_root, change_root, config, trials, tol):
     if floats:
         path, worst = max(floats, key=lambda item: item[1])
         print(f"  largest absolute difference {worst:.3g} at {path}")
+        for name, (count, worst) in by_field(floats).items():
+            print(f"  {name}: {count} differing, largest {worst:.3g}")
     for path, a, b in others:
         print(f"  {path}: parent {a!r} != change {b!r}")
     return not others and all(d <= tol for _, d in floats)
