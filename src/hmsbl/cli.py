@@ -13,6 +13,7 @@ positive integer is a runtime failure.
 
 import argparse
 import json
+import os
 import sys
 
 from . import experiments
@@ -31,6 +32,17 @@ def _load_or_exit(path):
     raise SystemExit(2)
 
 
+def _out_dir_or_exit(path):
+    """``path``, made a directory if it is not one yet; exit 2 with one line
+    when it cannot be (it is a file, or lies under one)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write to {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return path
+
+
 def _cmd_validate(args):
     _load_or_exit(args.config)
     print("OK")
@@ -39,8 +51,9 @@ def _cmd_validate(args):
 
 def _cmd_run(args):
     config = _load_or_exit(args.config)
+    out = _out_dir_or_exit(args.out or config.output_dir or ".")
     try:
-        record, paths = experiments.run_and_save(config, args.out)
+        record, paths = experiments.run_and_save(config, out)
     except (SolverError, DegenerateInputError, experiments.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -56,6 +69,7 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     config = _load_or_exit(args.config)
+    out = _out_dir_or_exit(args.out)
     try:
         rows, assessment = experiments.run_bench(config)
     except (SolverError, DegenerateInputError, experiments.ConfigError) as exc:
@@ -64,7 +78,7 @@ def _cmd_bench(args):
     record = experiments._new_record(config)
     record.timing = rows
     record.aggregate["timing"] = assessment
-    paths = experiments._save_record(record, args.out, "timing")
+    paths = experiments._save_record(record, out, "timing")
     for path in paths:
         print(f"wrote {path}")
     print(json.dumps(assessment, indent=2))
@@ -81,6 +95,9 @@ def _cmd_emit_plots(args):
         paths = experiments.emit_plot_data(record, args.kind, args.out)
     except ValueError as exc:
         print(f"error: cannot emit plots from record {args.record}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the record is read first: a malformed one makes no directory
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(f"wrote {path}")

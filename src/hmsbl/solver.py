@@ -31,18 +31,18 @@ Of the split gamma_i = ||M_i||_F, B_i = M_i / gamma_i it reads only gamma
 the state out.  And, because D mu = Y - lam R Y, the noise update's data
 misfit is
 
-    ||Y - D mu||_F^2 = lam^2 L tr(R S R).
+    ||Y - D mu||_F^2 = lam^2 ||R Y||_F^2.
 
 One Cholesky factorisation of Sigma_y per iteration (LAPACK ``zpotrf``,
 then ``zpotrs`` against the identity), taken after the iteration's
-M-step, noise update and pruning, gives log det Sigma_y and R; R S R,
-the cost log det Sigma_y + tr(R S), the moments and the misfit follow by
-GEMMs (the misfit only when the noise update reads it), so per-iteration
-cost never depends on the number of snapshots or on any v-grid size.  Those
-statistics of one prior are its ``Posterior``;
-``e_step``, ``ml_cost`` and ``run`` all get theirs from ``_marginal``.
-``_marginal`` takes LAPACK from ``scipy.linalg``, which it imports at the
-first solve: importing this module does not load SciPy.
+M-step, noise update and pruning, gives log det Sigma_y and R.  S is never
+formed: R Y gives R S R = (R Y)(R Y)^H / L, the cost log det Sigma_y +
+tr(R S) with tr(R S) = Re vdot(Y, R Y) / L, and the misfit, by GEMMs no
+wider than Y, which ``compress`` (the default) cuts to n columns or fewer:
+per-iteration cost then depends on neither the snapshot count nor a v grid.
+Those statistics of one prior are its ``Posterior``, which ``e_step``,
+``ml_cost`` and ``run`` all get from ``_marginal``; it imports LAPACK from
+``scipy.linalg`` at the first solve, so importing this module loads no SciPy.
 
 Pruned blocks carry gamma = 0 and add nothing to any of these sums, so
 ``run`` leaves them out: it works on the operator restricted to the
@@ -54,6 +54,7 @@ it reports, cover every block, zero on inactive ones; ``mu`` and
 
 import copy
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,16 +114,19 @@ class HMsblParams:
     compress: bool = True
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.prune_tol < 0:
-            raise ValueError("prune_tol must be >= 0")
-        if self.b_loading < 0:
-            raise ValueError("b_loading must be >= 0")
-        if self.cost_tol < 0:
-            raise ValueError("cost_tol must be >= 0")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        # ``not x >= 0`` also refuses NaN
+        if not self.prune_tol >= 0:
+            raise ValueError(f"prune_tol must be >= 0, got {self.prune_tol!r}")
+        if not self.b_loading >= 0:
+            raise ValueError(f"b_loading must be >= 0, got {self.b_loading!r}")
+        if not self.cost_tol >= 0:
+            raise ValueError(f"cost_tol must be >= 0, got {self.cost_tol!r}")
         if self.lambda_mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
+        if not math.isfinite(self.lambda_value):
+            raise ValueError(f"lambda_value must be finite, got {self.lambda_value!r}")
         if self.lambda_mode == "fixed" and not self.lambda_value > 0:
             raise ValueError("fixed lambda_value must be > 0")
 
@@ -156,29 +160,29 @@ class Posterior:
     prior's active blocks.
 
     ``_marginal`` builds it from one factorisation of Sigma_y: ``rinv`` is
-    R = Sigma_y^-1, ``rsr`` is R S R for the sample covariance S of
-    ``data`` and ``cost`` is log det Sigma_y + tr(R S), all without forming
-    mu.  The data misfit ``misfit`` = ||Y - D mu||_F^2 = lam^2 L tr(R S R),
-    the mean columns ``mu`` (for the columns of ``data``) and the per-block
-    covariance diagonal blocks ``sigma_blocks`` are computed when first
-    read, the last two over every block, zero on inactive ones.
+    R = Sigma_y^-1, ``ry`` is R Y for the columns Y of ``data`` and ``cost``
+    is log det Sigma_y + Re vdot(Y, R Y) / L, all without forming mu.  The
+    misfit ||Y - D mu||_F^2 = lam^2 ||R Y||_F^2, the mean columns ``mu``
+    (for the columns of ``data``) and the per-block covariance diagonal
+    blocks ``sigma_blocks`` are computed when first read, the last two over
+    every block, zero on inactive ones.
     """
 
     op: object
     data: SnapshotSet  # the snapshots mu is formed for
     scaled: np.ndarray  # gamma_i B_i of the operator's blocks
     rinv: np.ndarray
-    rsr: np.ndarray
+    ry: np.ndarray
     cost: float
     lam: float  # the noise variance of the prior
 
     @cached_property
     def misfit(self) -> float:
-        return self.lam ** 2 * self.data.n_snapshots * float(np.trace(self.rsr).real)
+        return self.lam ** 2 * float(np.vdot(self.ry, self.ry).real)
 
     @cached_property
     def mu(self) -> np.ndarray:
-        z = self.op.adjoint_blocks(self.rinv @ self.data.y)
+        z = self.op.adjoint_blocks(self.ry)
         return self.op.scatter(self.scaled @ z).reshape(-1, self.data.y.shape[1])
 
     @cached_property
@@ -388,11 +392,10 @@ def _store_b(state: HMsblState, at, moments: np.ndarray, gamma: np.ndarray, wher
         state.b_mats[at] = b_mats
 
 
-def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet, scm: np.ndarray) -> Posterior:
+def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet) -> Posterior:
     """The posterior of the prior with Gamma_i = ``scaled`` on the blocks of
-    ``op`` and noise variance ``lam`` given ``data``, whose sample
-    covariance is ``scm``: Sigma_y is factored once, everything else is
-    GEMMs.
+    ``op`` and noise variance ``lam`` given ``data``: Sigma_y is factored
+    once, R Y formed once, everything else is GEMMs.
 
     LAPACK is called directly: ``zpotrf`` factors Sigma_y and ``zpotrs``
     solves against the identity for R.  SciPy is imported here, at the first
@@ -411,16 +414,18 @@ def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet, scm: np.nda
         raise SolverError("marginal covariance not positive definite: "
                           f"{info}-th leading minor of the array is not positive definite "
                           f"(lam = {lam:.3g}, tr(Sigma_y)/n = {float(np.trace(sy).real) / n:.3g})")
-    rs = rinv @ scm
-    cost = 2.0 * float(np.sum(np.log(chol.diagonal().real))) + float(np.trace(rs).real)
+    ry = rinv @ data.y
+    fit = float(np.vdot(data.y, ry).real) / data.n_snapshots  # tr(R S)
+    cost = 2.0 * float(np.sum(np.log(chol.diagonal().real))) + fit
     if not math.isfinite(cost):
         raise SolverError(f"non-finite marginal-likelihood cost {cost}")
-    return Posterior(op=op, data=data, scaled=scaled, rinv=rinv, rsr=rs @ rinv, cost=cost, lam=lam)
+    return Posterior(op=op, data=data, scaled=scaled, rinv=rinv, ry=ry, cost=cost, lam=lam)
 
 
 def _moments(op, m: Posterior) -> np.ndarray:
     """Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i."""
-    return _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv - m.rsr) @ m.scaled)
+    rsr = (m.ry * (1.0 / m.data.n_snapshots)) @ m.ry.conj().T  # a complex * is cheaper than /
+    return _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv - rsr) @ m.scaled)
 
 
 def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
@@ -434,7 +439,7 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
     if not state.active.any():
         raise SolverError("no active blocks left")
     op, at = _active_part(_operator_for(dictionary, y), state)
-    post = _marginal(op, _scaled_prior(state)[at], state.noise_var, y, sample_covariance(y))
+    post = _marginal(op, _scaled_prior(state)[at], state.noise_var, y)
     post.mu, post.sigma_blocks  # the E-step proper: evaluate both now
     return post
 
@@ -511,7 +516,7 @@ def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) 
 def ml_cost(y: SnapshotSet, state: HMsblState, dictionary) -> float:
     """Marginal-likelihood cost log det Sigma_y + tr(Sigma_y^-1 S_hat)."""
     op, at = _active_part(_operator_for(dictionary, y), state)
-    return _marginal(op, _scaled_prior(state)[at], state.noise_var, y, sample_covariance(y)).cost
+    return _marginal(op, _scaled_prior(state)[at], state.noise_var, y).cost
 
 
 def prune(state: HMsblState, params: HMsblParams) -> np.ndarray:
@@ -570,7 +575,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     drops, and once when the loop ends; a block whose moment dies keeps the
     B of its last moment.  So a run's result does not depend on an observer.
 
-    Each iteration runs on R = Sigma_y^-1 and R S R alone (see the module
+    Each iteration runs on R = Sigma_y^-1 and R Y alone (see the module
     docstring).  It prunes before it factors: one Cholesky factorisation per
     iteration gives the ``Posterior`` of the updated and pruned prior, whose
     cost is the iteration's (so ``cost_trace[t]`` is ``ml_cost`` of the
@@ -578,44 +583,42 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     with its moments and noise misfit.  The operator is built once and
     handed to ``init_state`` and ``update_lambda``.
 
-    ``run`` keeps one state over every block.  Sigma_y assembly, the
-    moments and the M-step run on the operator restricted to the active
-    blocks, which sit at ``at`` in the state.  When a block leaves the
-    active set (pruned, or a non-positive moment trace), the same iteration
-    slices the operator's tables and Gamma down to the blocks left before
-    it factors Sigma_y.  Until the set first shrinks ``at`` is
-    ``slice(None)``, so a run whose active set never shrinks never gathers
-    or scatters.  Pruning and the noise update's penalty (the full Phi_u,
-    nx x Mu) read the whole state, with gamma = 0 on inactive blocks.
+    ``run`` keeps one state over every block.  Sigma_y assembly, the moments
+    and the M-step run on the operator restricted to the active blocks,
+    which sit at ``at`` in the state.  When a block leaves the active set
+    (pruned, or a non-positive moment trace), the same iteration drops the
+    old posterior and slice (one is alive at a time) and slices the
+    operator's tables and Gamma down to the blocks left before it factors
+    Sigma_y.  Until the set first shrinks ``at`` is ``slice(None)``, so a
+    run whose active set never shrinks never gathers or scatters.  Pruning
+    and the noise update's penalty (the full Phi_u, nx x Mu) read the whole
+    state, with gamma = 0 on inactive blocks.
 
     ``on_iteration(iteration, state, posterior)`` is invoked after every
     completed iteration (1-based); ``state`` covers every block, with
-    gamma = 0 on inactive ones.  The posterior is that of the prior the
-    iteration started from, as the loop used it; its ``mu`` and
-    ``sigma_blocks`` are computed on first access, over every block.  Treat
-    the arguments as read-only and copy anything retained: ``run`` updates
-    the state's arrays in place.
-    Returns (state, posterior, diagnostics); the posterior is that of the
-    returned state, so its ``cost`` is ``diagnostics.cost_trace[-1]``.
+    gamma = 0 on inactive ones.  The posterior is that of ``state``, as
+    ``e_step`` gives it and the next iteration uses it, with ``cost``
+    ``diagnostics.cost_trace[iteration]``; its ``mu`` and ``sigma_blocks``
+    are computed on first access, over every block.  Treat the arguments as
+    read-only and copy anything retained: ``run`` updates the state's arrays
+    in place.  Returns (state, posterior, diagnostics), paired the same way.
     """
     op = _operator_for(dictionary, y)
     state = init_state(y, op, params)
     data = compress_snapshots(y) if params.compress else y
-    scm = sample_covariance(data)
 
     # the loop runs on ``cop``, the operator restricted to the active blocks,
     # and ``scaled``, their Gamma_i; those blocks sit at ``at`` in ``state``
     cop, at = _active_part(op, state)
     scaled = _scaled_prior(state)[at]
-    marginal = _marginal(cop, scaled, state.noise_var, data, scm)
-    cost_trace = [marginal.cost]
+    post = _marginal(cop, scaled, state.noise_var, data)
+    cost_trace = [post.cost]
     iter_seconds = []
     active_counts = []
     converged = False
 
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        post = marginal
         moments = _moments(cop, post)
         alive = np.einsum("mkk->m", moments).real > 0
         if not alive.all():
@@ -636,12 +639,13 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
         shrank = not kept.all()  # a block died or was pruned
         if shrank:
             state.gamma[~mask] = 0.0
+            del post, cop  # one restriction of the operator alive at a time
             cop, at = _active_part(op, state)
             scaled = scaled[kept]
-        marginal = _marginal(cop, scaled, state.noise_var, data, scm)
-        cost_trace.append(marginal.cost)
+        post = _marginal(cop, scaled, state.noise_var, data)
+        cost_trace.append(post.cost)
         prev = cost_trace[-2]
-        converged = abs(marginal.cost - prev) / max(1.0, abs(prev)) < params.cost_tol
+        converged = abs(post.cost - prev) / max(1.0, abs(prev)) < params.cost_tol
         if shrank or converged or on_iteration is not None or it == params.max_iters:
             _store_b(state, covered, moments, fro, alive)
 
@@ -654,4 +658,4 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
 
     diagnostics = RunDiagnostics(cost_trace=cost_trace, iter_seconds=iter_seconds,
                                  active_counts=active_counts, converged=converged)
-    return state, marginal, diagnostics
+    return state, post, diagnostics

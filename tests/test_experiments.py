@@ -944,6 +944,38 @@ def test_cli_run_and_emit_plots(tmp_path):
     assert (out / "timing.csv").read_text() == (out2 / "timing.csv").read_text()
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "emit-plots"])
+def test_cli_unusable_output_directory_exits_2_on_one_line_before_any_trial(
+        tmp_path, monkeypatch, capsys, command):
+    # an --out (or a config output_dir) that is a file, or lies under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(cli.experiments, "run_experiment", lambda config: pytest.fail("a trial ran"))
+    monkeypatch.setattr(cli.experiments, "run_bench", lambda config: pytest.fail("a trial ran"))
+    p = tmp_path / "c.json"
+    if command == "run":
+        target = blocker / "out"
+        p.write_text(_dumps(_base_config(trials=1, output_dir=str(target))))
+        argv = ["run", str(p)]
+    elif command == "bench":
+        target = blocker
+        cfg = _base_config(experiment="exp1", grids={"mu": 15, "mv": 15, "mv_sweep": [5]})
+        p.write_text(_dumps(cfg))
+        argv = ["bench", str(p), "--out", str(target)]
+    else:
+        target = blocker
+        p.write_text(json.dumps({"experiment": "custom", "config": {}, "tool_version": "x",
+                                 "created_utc": "now"}))
+        argv = ["emit-plots", str(p), "--out", str(target)]
+    with pytest.raises(SystemExit) as exit_:
+        raise SystemExit(cli.main(argv))
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write to {target}: ")
+
+
 def test_cli_version():
     r = _run_cli(["--version"])
     assert r.returncode == 0

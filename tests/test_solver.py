@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -355,12 +356,12 @@ def test_operator_kernels_match_dense_products(nx, ny, m, kind):
 @pytest.mark.parametrize("compress", [False, True])
 def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     # the moments, cost and noise update run() takes from R = Sigma_y^-1 and
-    # R S R, against dense Gaussian conditioning on the uncompressed data
+    # R Y, against dense Gaussian conditioning on the uncompressed data
     rng = np.random.default_rng(1000 * nx + 100 * ny + m + 7 * compress)
     phi = _cplx(rng, nx, m)
     d = kron_identity_loop(phi, ny)
-    n, n_snap = nx * ny, 3 * nx * ny + 2  # more snapshots than rows: compression acts
-    y = SnapshotSet(y=_cplx(rng, n, n_snap), nx=nx, ny=ny, n_snapshots=n_snap)
+    n = nx * ny
+    wide = _cplx(rng, n, 3 * n + 2)  # more snapshots than rows: compression acts
     if kind == "kron":
         op, b, a = solver._KronIdentityOperator(phi, ny), ny, phi
     else:
@@ -371,42 +372,47 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     keep[0] = True
     state.gamma[~keep] = 0.0
     gamma = state.gamma
-    data = compress_snapshots(y) if compress else y
-    assert (data.y.shape[1] < n_snap) == compress
+    # fewer snapshots than rows, as on large-array (L = 50 < 64): R Y is
+    # thinner than S (a single row has no fewer than one)
+    thin = _cplx(rng, n, max(n - 1, 1))
 
     # run() works on the active blocks alone and scatters back to all of them
     cop, at = solver._active_part(op, state)
     assert cop.n_blocks == state.active.sum()
     np.testing.assert_array_equal(at, np.flatnonzero(state.active))
-    post = solver._marginal(cop, solver._scaled_prior(state)[at], state.noise_var, data,
-                            sample_covariance(data))
-    if kind == "kron":
-        mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
-        cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
-    else:
-        mu_o, var_o = dense_flat_posterior(y.y, d, gamma, 0.3)
-        sig_o = var_o[:, None, None]
-        cost_o = dense_flat_cost(sample_covariance(y), d, gamma, 0.3)
-    mu_b = mu_o.reshape(n_blocks, b, n_snap)
-    moments_o = sig_o + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
-    assert np.max(np.abs(cop.scatter(solver._moments(cop, post)) - moments_o)) < 1e-10
-    assert post.cost == pytest.approx(cost_o, rel=1e-10)
+    for snapshots in (wide, thin):
+        n_snap = snapshots.shape[1]
+        y = SnapshotSet(y=snapshots, nx=nx, ny=ny, n_snapshots=n_snap)
+        data = compress_snapshots(y) if compress else y
+        assert (data.y.shape[1] < n_snap) == (compress and n_snap > n)
+        post = solver._marginal(cop, solver._scaled_prior(state)[at], state.noise_var, data)
+        if kind == "kron":
+            mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
+            cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
+        else:
+            mu_o, var_o = dense_flat_posterior(y.y, d, gamma, 0.3)
+            sig_o = var_o[:, None, None]
+            cost_o = dense_flat_cost(sample_covariance(y), d, gamma, 0.3)
+        mu_b = mu_o.reshape(n_blocks, b, n_snap)
+        moments_o = sig_o + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
+        assert np.max(np.abs(cop.scatter(solver._moments(cop, post)) - moments_o)) < 1e-10
+        assert post.cost == pytest.approx(cost_o, rel=1e-10)
 
-    misfit_o = np.linalg.norm(y.y - d @ mu_o, "fro") ** 2
-    assert post.misfit == pytest.approx(misfit_o, rel=1e-10)
-    assert np.max(np.abs(post.sigma_blocks - sig_o)) < 1e-10
-    if not compress:  # mu of the compressed data is not that of the data
-        assert np.max(np.abs(post.mu - mu_o)) < 1e-10
-    g = (a * gamma) @ a.conj().T
-    pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(a.shape[0]), g)).real / a.shape[0]
-    got = update_lambda(data, post.misfit, state, op)  # as run() calls it
-    assert got == pytest.approx(misfit_o / (n * n_snap) + pen, rel=1e-10)
+        misfit_o = np.linalg.norm(y.y - d @ mu_o, "fro") ** 2
+        assert post.misfit == pytest.approx(misfit_o, rel=1e-10)
+        assert np.max(np.abs(post.sigma_blocks - sig_o)) < 1e-10
+        if data is y:  # mu of the compressed data is not that of the data
+            assert np.max(np.abs(post.mu - mu_o)) < 1e-10
+        g = (a * gamma) @ a.conj().T
+        pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(a.shape[0]), g)).real / a.shape[0]
+        got = update_lambda(data, post.misfit, state, op)  # as run() calls it
+        assert got == pytest.approx(misfit_o / (n * n_snap) + pen, rel=1e-10)
 
 
 @pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (5, 1, 9), (1, 4, 6), (1, 1, 4)])
 @pytest.mark.parametrize("kind", ["kron", "column"])
 def test_marginal_matches_dense_inverse(nx, ny, m, kind):
-    # R, R S R and the cost from the LAPACK factorisation against a dense
+    # R, R Y and the cost from the LAPACK factorisation against a dense
     # inverse and log-determinant; nx = ny = 1 factors a 1 x 1 Sigma_y
     rng = np.random.default_rng(500 + 100 * nx + 10 * ny + m)
     phi = _cplx(rng, nx, m)
@@ -424,14 +430,13 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     scm = y @ y.conj().T / 4
 
     marginal = solver._marginal(op, solver._scaled_prior(state), state.noise_var,
-                                SnapshotSet(y=y, nx=nx, ny=ny, n_snapshots=4), scm)
+                                SnapshotSet(y=y, nx=nx, ny=ny, n_snapshots=4))
     sy = d @ block_diag_prior(state.gamma, state.b_mats) @ d.conj().T + 0.2 * np.eye(n)
     r = np.linalg.inv(sy)
     sign, logdet = np.linalg.slogdet(sy)
     assert sign.real > 0
     assert np.max(np.abs(marginal.rinv - r)) <= 1e-10 * np.max(np.abs(r))
-    rsr = r @ scm @ r
-    assert np.max(np.abs(marginal.rsr - rsr)) <= 1e-10 * np.max(np.abs(rsr))
+    assert np.max(np.abs(marginal.ry - r @ y)) <= 1e-10 * np.max(np.abs(r @ y))
     assert marginal.cost == pytest.approx(logdet + np.trace(r @ scm).real, rel=1e-10)
 
 
@@ -450,7 +455,7 @@ def test_marginal_raises_on_an_indefinite_or_non_finite_sigma_y(case):
     data = SnapshotSet(y=y, nx=3, ny=2, n_snapshots=8)
     # inf * 0j warns in numpy's own arithmetic before LAPACK sees Sigma_y
     with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not positive definite|non-finite") as err:
-        solver._marginal(op, solver._scaled_prior(state), state.noise_var, data, y @ y.conj().T / 8)
+        solver._marginal(op, solver._scaled_prior(state), state.noise_var, data)
     if case == "lam 1e-30":
         # the message names the noise variance against the scale of Sigma_y
         sy = op.signal_cov(solver._scaled_prior(state))  # + 1e-30 I changes no digit
@@ -670,18 +675,20 @@ def test_run_cost_monotone():
 
 def test_run_gamma_b_product_equals_moment():
     # after each iteration gamma_i B_i must equal the posterior moment block
+    # of the state before it, which the observer got with that state
     rng = np.random.default_rng(19)
     y, pair = _random_instance(rng, nx=3, ny=2, mu=6)
-    seen = []
+    seen, last = [], []
 
     def grab(it, state, post):
-        moments = solver._moment_blocks(post, state.n_blocks, state.block_size,
-                                        y.n_snapshots)
         scaled = state.gamma[:, None, None] * state.b_mats
-        err = np.max(np.abs(scaled[state.active] - moments[state.active]))
-        seen.append(err)
+        if last:
+            err = np.max(np.abs(scaled[state.active] - last.pop()[state.active]))
+            seen.append(err)
+        last.append(solver._moment_blocks(post, state.n_blocks, state.block_size,
+                                          y.n_snapshots))
 
-    run(y, pair, HMsblParams(max_iters=5, prune_tol=0.0, lambda_value=0.05),
+    run(y, pair, HMsblParams(max_iters=6, prune_tol=0.0, lambda_value=0.05),
         on_iteration=grab)
     assert len(seen) == 5
     assert max(seen) < 1e-10
@@ -743,8 +750,9 @@ def test_benchmark_probe_calls_match_the_run(flat):
     # the calls the traced benchmark makes from run()'s on_iteration hook
     # (perfbench/spans.py, _probe), on the compressed snapshots of a
     # compressed, adaptive-lambda run that prunes: the reference
-    # update_gamma -> update_b, with update_b's Frobenius scale pushed back
-    # into gamma, reproduces the Gamma_i = gamma_i B_i the iteration reached
+    # update_gamma -> update_b on the posterior of one state, with
+    # update_b's Frobenius scale pushed back into gamma, reproduces the
+    # Gamma_i = gamma_i B_i of the state the next iteration reached
     rng = np.random.default_rng(41)
     y, pair = _random_instance(rng, nx=3, ny=2, mu=16, n_snap=20, k=2)
     dictionary = kron_dictionary(pair, prune=True) if flat else pair
@@ -752,7 +760,7 @@ def test_benchmark_probe_calls_match_the_run(flat):
                          cost_tol=0.0, compress=True)
     data = compress_snapshots(y)
     assert data.y.shape[1] < data.n_snapshots
-    partial, errors, costs = [], [], []
+    partial, errors, costs, predicted = [], [], [], []
 
     def probe(it, state, post):
         fresh = e_step(data, state, dictionary)
@@ -762,20 +770,26 @@ def test_benchmark_probe_calls_match_the_run(flat):
         assert cost == fresh.cost and np.isfinite(cost)
         costs.append(cost)
 
+        act = state.active
+        if predicted:  # the previous state's posterior predicted this one
+            got, b_prev, ok = predicted.pop()
+            assert not (act & ~ok).any()
+            want = state.gamma[act, None, None] * state.b_mats[act]
+            errors.append(np.max(np.abs(got[act] - want)) / np.max(np.abs(want)))
+            errors.append(np.max(np.abs(b_prev[act] - state.b_mats[act])))
+            partial.append(not act.all())
         mid = HMsblState(gamma=g, b_mats=state.b_mats, noise_var=state.noise_var)
         b_mid = update_b(post, mid, data.n_snapshots)
         moments = solver._moment_blocks(post, state.n_blocks, state.block_size, data.n_snapshots)
-        act = state.active
-        assert not (act & ~mid.active).any()
-        pushed = g[act] * np.linalg.norm(moments[act] / g[act, None, None], axis=(1, 2))
-        got = pushed[:, None, None] * b_mid[act]
-        want = state.gamma[act, None, None] * state.b_mats[act]
-        errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        errors.append(np.max(np.abs(b_mats[act] - state.b_mats[act])))
-        partial.append(not act.all())
+        ok = mid.active
+        assert not (ok & ~act).any()
+        got = np.zeros_like(b_mid)
+        pushed = g[ok] * np.linalg.norm(moments[ok] / g[ok, None, None], axis=(1, 2))
+        got[ok] = pushed[:, None, None] * b_mid[ok]
+        predicted.append((got, b_mats, ok))
 
     _, _, diag = run(y, dictionary, params, on_iteration=probe)
-    assert len(errors) == 2 * params.max_iters
+    assert len(errors) == 2 * (params.max_iters - 1)
     assert any(partial) and not all(partial)
     assert max(errors) <= 1e-12
     # ml_cost on the state each iteration left, pruned or not, is the cost
@@ -916,6 +930,39 @@ def test_run_returns_the_posterior_of_the_state_it_returns(flat):
 
 
 @pytest.mark.parametrize("flat", [False, True])
+def test_run_holds_one_restriction_of_the_operator_at_a_time(monkeypatch, flat):
+    # when the active set shrinks, the old posterior and restriction are
+    # dropped before the operator is sliced again
+    y, dictionary = _pruning_adaptive_case(flat)
+    restrict, taken = solver._BlockOperator.restrict, []
+
+    def tracked(self, index):
+        assert all(ref() is None for ref in taken), "an earlier restriction is alive"
+        sub = restrict(self, index)
+        taken.append(weakref.ref(sub))
+        return sub
+
+    monkeypatch.setattr(solver._BlockOperator, "restrict", tracked)
+    params = HMsblParams(max_iters=40, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=0.0)
+    run(y, dictionary, params, on_iteration=lambda it, state, post: None)
+    assert len(taken) >= 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prune_tol", float("nan")), ("cost_tol", float("nan")), ("b_loading", float("nan")),
+    ("lambda_value", float("inf")), ("lambda_value", float("nan")),
+    ("max_iters", 2.5), ("max_iters", "3"), ("max_iters", -1),
+])
+def test_params_refuse_a_value_a_run_cannot_use(field, value):
+    # each would otherwise fail mid-run (a NaN prune_tol prunes every block,
+    # an infinite lambda gives a non-finite cost, 2.5 iterations a TypeError)
+    with pytest.raises(ValueError, match=field):
+        HMsblParams(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        HMsblParams(lambda_mode="adaptive", **{field: value})
+
+
+@pytest.mark.parametrize("flat", [False, True])
 def test_run_stopped_by_cost_tol_hands_out_its_last_moment(monkeypatch, flat):
     # the state a cost_tol stop returns carries gamma_i B_i = M_i of the
     # iteration it stopped at, on every block still active
@@ -983,27 +1030,32 @@ def test_run_adaptive_lambda_moves():
 
 def test_run_reuses_factor_exactly():
     # run() hands the factor of each iteration's cost to the next posterior;
-    # every posterior must equal a fresh E-step on the state the previous
-    # iteration left
+    # every posterior an observer gets must equal a fresh E-step on the state
+    # handed out with it, which the iteration left, and carry the cost the
+    # trace records for that iteration; run() returns the last one
     rng = np.random.default_rng(25)
     y, pair = _random_instance(rng, nx=4, ny=3, mu=16, n_snap=20, k=2)
     params = HMsblParams(max_iters=40, compress=False, prune_tol=1e-2,
                          lambda_mode="adaptive", cost_tol=0.0)
     states = [init_state(y, pair, params)]
-    posts = []
+    posts, last = [], []
 
     def grab(it, state, post):
         states.append(HMsblState(gamma=state.gamma.copy(), b_mats=state.b_mats.copy(),
                                  noise_var=state.noise_var))
-        posts.append(SimpleNamespace(mu=post.mu.copy(), sigma_blocks=post.sigma_blocks.copy()))
+        posts.append(SimpleNamespace(mu=post.mu.copy(), sigma_blocks=post.sigma_blocks.copy(),
+                                     cost=post.cost))
+        last[:] = [post]
 
-    run(y, pair, params, on_iteration=grab)
+    _, returned, diag = run(y, pair, params, on_iteration=grab)
     assert len(posts) == params.max_iters
+    assert returned is last[0]
     counts = [int(s.active.sum()) for s in states]
     pruned = [b < a for a, b in zip(counts, counts[1:])]
     assert any(pruned) and not all(pruned)
-    for prev, post in zip(states, posts):
-        fresh = e_step(y, prev, pair)
+    for it, (state, post) in enumerate(zip(states[1:], posts), start=1):
+        assert post.cost == diag.cost_trace[it]
+        fresh = e_step(y, state, pair)
         assert np.max(np.abs(post.mu - fresh.mu)) < 1e-10
         assert np.max(np.abs(post.sigma_blocks - fresh.sigma_blocks)) < 1e-10
 
