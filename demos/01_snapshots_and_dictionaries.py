@@ -59,6 +59,8 @@ flat = kron_dictionary(pair, prune=True)
 print(f"\nu grid {grid_u.size} points, v grid {grid_v.size} points")
 print(f"full 2-D dictionary: {flat.matrix.shape} "
       f"({grid_u.size * grid_v.size - flat.size} infeasible u/v pairs pruned)")
+print("  (formed here only to show its shape: the flat solver applies it through")
+print(f"   the {grid_u.size} x {ura.nx ** 2} and {grid_v.size} x {ura.ny ** 2} outer tables of Phi_u and Phi_v)")
 
 d_eff = effective_dictionary(pair.phi_u, ura.ny)
 print(f"reduced dictionary Phi_u o I: {d_eff.shape} "

@@ -2,8 +2,10 @@
 
 Two forms are used by the solvers.  The block solver works on the reduced
 dictionary Phi_u kron I_ny, never enumerating a v grid.  The flat baseline
-works on the full 2-D dictionary Phi_u kron Phi_v with infeasible columns
-(u^2 + v^2 > 1) removed.  The algebraic link between the two is
+works on the columns of the full 2-D dictionary Phi_u kron Phi_v at the
+feasible (u^2 + v^2 <= 1) cells of the grid; it is described by the pair
+and those cells, and the solver never materializes it.  The algebraic link
+between the two is
 
     (Phi_u kron I_ny) (I_mu kron Phi_v) = Phi_u kron Phi_v
 
@@ -11,6 +13,7 @@ which ``kron_factorization_check`` evaluates numerically.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,39 +111,60 @@ def effective_dictionary(phi_u: np.ndarray, ny: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KronDictionary:
-    """Flat 2-D dictionary: columns of Phi_u kron Phi_v with (u, v) labels.
+    """Flat 2-D dictionary: the columns of Phi_u kron Phi_v at ``cells``.
 
-    ``column_labels`` has shape (P, 2); row p holds the (u, v) pair of
-    column p.  Columns are ordered u-major (v varies fastest), matching the
-    vec(S^T) stacking of the signal model.
+    ``cells`` holds strictly increasing flat indices i mv + j of grid cells
+    (grid_u[i], grid_v[j]), so columns are ordered u-major (v varies
+    fastest), matching the vec(S^T) stacking of the signal model.
+    ``column_labels`` (P, 2) holds the (u, v) pair of each column and
+    ``matrix`` (nx ny, P) the columns themselves; both are derived from the
+    pair on first read, and the solver reads neither.
     """
 
-    matrix: np.ndarray
-    column_labels: np.ndarray
+    pair: DictionaryPair
+    cells: np.ndarray
 
     def __post_init__(self):
-        if self.matrix.shape[1] != self.column_labels.shape[0]:
-            raise ValueError("one label per dictionary column required")
+        cells = np.asarray(self.cells)
+        if cells.ndim != 1 or (cells.size and not np.issubdtype(cells.dtype, np.integer)):
+            raise ValueError("cells must be a 1-D array of integer grid indices")
+        cells = cells.astype(np.intp, copy=False)
+        object.__setattr__(self, "cells", cells)
+        n_cells = self.pair.grid_u.size * self.pair.grid_v.size
+        if cells.size and (cells[0] < 0 or cells[-1] >= n_cells or np.any(np.diff(cells) <= 0)):
+            raise ValueError(f"cells must be strictly increasing indices below {n_cells}")
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[1]
+        return self.cells.size
+
+    def _axes(self):
+        """(u index, v index) of every column."""
+        return np.divmod(self.cells, self.pair.grid_v.size)
+
+    @cached_property
+    def column_labels(self) -> np.ndarray:
+        iu, iv = self._axes()
+        return np.column_stack([self.pair.grid_u.points[iu], self.pair.grid_v.points[iv]])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        iu, iv = self._axes()
+        phi_u, phi_v = self.pair.phi_u, self.pair.phi_v
+        cols = phi_u[:, None, iu] * phi_v[None, :, iv]
+        return cols.reshape(phi_u.shape[0] * phi_v.shape[0], self.size)
 
 
 def kron_dictionary(pair: DictionaryPair, prune: bool = True) -> KronDictionary:
     """Full 2-D dictionary over the grid product.
 
-    With ``prune`` (the default) columns whose label is not
-    ``in_unit_disk`` are dropped; the boundary itself is kept.
+    With ``prune`` (the default) cells that are not ``in_unit_disk`` are
+    dropped; the boundary itself is kept.  Nothing of size (n x Mu Mv) is
+    formed.
     """
-    matrix = np.kron(pair.phi_u, pair.phi_v)
     uu, vv = np.meshgrid(pair.grid_u.points, pair.grid_v.points, indexing="ij")
-    labels = np.column_stack([uu.ravel(), vv.ravel()])
-    if prune:
-        keep = in_unit_disk(labels[:, 0], labels[:, 1])
-        matrix = matrix[:, keep]
-        labels = labels[keep]
-    return KronDictionary(matrix=matrix, column_labels=labels)
+    keep = in_unit_disk(uu, vv) if prune else np.ones(uu.shape, dtype=bool)
+    return KronDictionary(pair=pair, cells=np.flatnonzero(keep))
 
 
 def kron_factorization_check(phi_u: np.ndarray, phi_v: np.ndarray) -> float:

@@ -1,12 +1,13 @@
-"""Flat multi-snapshot SBL baseline on an explicit 2-D dictionary.
+"""Flat multi-snapshot SBL baseline over the 2-D (u, v) grid.
 
 This is the same EM solver as the block module with every dictionary
 column its own block of width one, so the correlation update collapses to
 the scalar 1 and the power update becomes the classic
 gamma_p <- sigma_x,p + ||mu_p||^2 / L.  Per-iteration cost scales with the
 pruned column count mu * mv, which is exactly what the block solver avoids.
-The baseline is ``solver.run`` on a ``KronDictionary``; this module reads
-its (u, v) estimates off the resulting state.
+The baseline is ``solver.run`` on a ``KronDictionary``, whose columns the
+solver applies through two outer tables without forming them; this module
+reads its (u, v) estimates off the resulting state.
 """
 
 import numpy as np

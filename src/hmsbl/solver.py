@@ -7,15 +7,19 @@ unit-Frobenius correlation matrix.  Noise is white with variance lam.
 
 For H-MSBL the dictionary is Phi_u kron I_ny (b = ny) and each B_i absorbs
 the v-frequency structure of the sources sharing u-bin i, so no v grid is
-ever formed.  The flat baseline is the same solver with b = 1 on an
-explicit 2-D dictionary.  Neither backend materializes Phi_u kron I_ny:
-the marginal covariance is assembled blockwise as
+ever formed.  The flat baseline is the same solver with b = 1 on the
+columns phi_u,i kron phi_v,j of the feasible cells of the (u, v) grid.
+Neither backend materializes its dictionary.  The block backend assembles
+the marginal covariance blockwise as
 
     Sigma_y = sum_i gamma_i (phi_i phi_i^H) kron B_i + lam I
 
 which is one GEMM of the cached table of outer products phi_i phi_i^H
 (M x nx^2) against the stacked gamma_i B_i (M x ny^2).  The per-block
-quadratic forms D_i^H W D_i are one GEMM through the same table.
+quadratic forms D_i^H W D_i are one GEMM through the same table.  The flat
+backend is the same contraction with B_i replaced by the weighted v-grid
+outer products sum_j w_ij phi_v,j phi_v,j^H: two outer tables, one per
+grid axis, and no (n x Mu Mv) matrix.
 
 An EM iteration never forms the posterior.  With R = Sigma_y^-1, the
 sample covariance S = Y Y^H / L and Gamma_i = gamma_i B_i, the posterior
@@ -240,21 +244,24 @@ class _BlockOperator:
         return out
 
 
+def _outer_table(phi: np.ndarray) -> np.ndarray:
+    """P[m, x n + y] = phi[x, m] conj(phi[y, m]) for the n x M ``phi`` (M x n^2)."""
+    return (phi.T[:, :, None] * phi.T.conj()[:, None, :]).reshape(phi.shape[1], -1)
+
+
 class _KronIdentityOperator(_BlockOperator):
     """Phi kron I_b applied blockwise; nothing of size (n x M b) is formed.
 
     Every kernel is one GEMM over the block index.  Sigma_y assembly and the
     per-block quadratic forms both contract through the outer-product table
-
-        P[m, x nx + y] = phi[x, m] conj(phi[y, m])        (M x nx^2)
-
-    which, like phi^H, is built once per operator:
+    P = ``_outer_table(phi)`` (M x nx^2) which, like phi^H, is built once
+    per operator:
 
         signal_cov:  P^T S  with S[m, (k, l)] = gamma_m B_m[k, l]
         quad_blocks: P R    with R[(y, x), (k, l)] = Rinv[x b + k, y b + l]
 
     using conj(P[m, x nx + y]) = P[m, y nx + x]; each is framed by a
-    permutation of the four (x, y, k, l) axes.
+    permutation of the four (x, y, k, l) axes.  ``gram``'s A is phi.
     """
 
     _per_block = (("factor", 1), ("outer", 0))
@@ -264,8 +271,7 @@ class _KronIdentityOperator(_BlockOperator):
         self.block_size = int(block_size)
         self.n_factor_rows, self.n_blocks = self.factor.shape
         self.n_rows = self.n_factor_rows * self.block_size
-        outer = self.factor.T[:, :, None] * self.factor.T.conj()[:, None, :]
-        self.outer = outer.reshape(self.n_blocks, -1)
+        self.outer = _outer_table(self.factor)
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
         # sum_i (phi_i phi_i^H) kron (gamma_i B_i)
@@ -283,37 +289,61 @@ class _KronIdentityOperator(_BlockOperator):
         r = rinv.reshape(nx, b, nx, b).transpose(2, 0, 1, 3).reshape(nx * nx, b * b)
         return (self.outer @ r).reshape(self.n_blocks, b, b)
 
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """phi diag(weights) phi^H (nx x nx)."""
+        return (self.factor * weights) @ self.factor.conj().T
 
-class _ColumnOperator(_BlockOperator):
-    """Arbitrary dictionary columns treated as blocks of width one.
 
-    Only the dictionary F itself is kept.  The per-iteration kernels apply
-    its conjugate through their products, so no conjugate copy of F (the
-    size of the dictionary, and of every restriction) is held:
+class _GridOperator(_BlockOperator):
+    """The columns phi_u,i kron phi_v,j of the grid cells ``cells`` (flat
+    indices i Mv + j) as blocks of width one; Phi_u kron Phi_v is never
+    formed.  By the mixed-product identity every kernel is GEMMs over the
+    whole grid through the outer tables P_u (Mu x nx^2) and P_v (Mv x ny^2),
+    read at ``cells``:
 
-        signal_cov:  F diag(w) F^H = (conj(F) diag(w) F^T)^T
-        quad_blocks: diag(F^H R F) = conj(diag(F^T conj(R F)))
+        signal_cov:     P_u^T W P_v, W the Mu x Mv weight grid, zero off the cells
+        quad_blocks:    conj(P_u) R4 conj(P_v)^T, R4[(x, x'), (y, y')] = Rinv[x ny + y, x' ny + y']
+        adjoint_blocks: Phi_u^H W3 conj(Phi_v), W3[x, y, l] = w[x ny + y, l]
+
+    with the conjugates taken by index swaps, as for ``_KronIdentityOperator``.
+    W is complex: a real W against the complex P_v leaves BLAS.  A
+    restriction slices ``cells`` alone.  ``gram``'s A is the flat dictionary.
     """
 
-    _per_block = (("factor", 1),)
+    _per_block = (("cells", 0),)
 
-    def __init__(self, matrix: np.ndarray):
-        self.factor = np.asarray(matrix, dtype=complex)
-        self.n_rows, self.n_blocks = self.factor.shape
-        self.block_size = 1
+    def __init__(self, phi_u: np.ndarray, phi_v: np.ndarray, cells: np.ndarray):
+        self.phi_u = np.asarray(phi_u, dtype=complex)
+        self.phi_v = np.asarray(phi_v, dtype=complex)
+        self.outer_u, self.outer_v = _outer_table(self.phi_u), _outer_table(self.phi_v)
+        self.cells = np.asarray(cells)
+        self.n_blocks, self.block_size = self.cells.size, 1
+        self.n_rows = self.phi_u.shape[0] * self.phi_v.shape[0]
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
-        weighted = self.factor.conj()
-        weighted *= scaled[:, 0, 0].real
-        return (weighted @ self.factor.T).T
+        return self.gram(scaled[:, 0, 0].real)
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        return (self.factor.T @ w.conj()).conj()[:, None, :]
+        (nx, mu), (ny, mv) = self.phi_u.shape, self.phi_v.shape
+        t = (self.phi_u.conj().T @ w.reshape(nx, -1)).reshape(mu, ny, -1)
+        z = self.phi_v.conj().T @ t  # (Mu, Mv, L)
+        return z.reshape(mu * mv, -1)[self.cells, None, :]
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
-        t = rinv @ self.factor
-        q = np.einsum("xp,xp->p", self.factor, np.conj(t, out=t)).conj()
-        return q[:, None, None]
+        # (phi_u,i kron phi_v,j)^H Rinv (phi_u,i kron phi_v,j) over the grid
+        nx, ny = self.phi_u.shape[0], self.phi_v.shape[0]
+        r = rinv.reshape(nx, ny, nx, ny).transpose(2, 0, 3, 1).reshape(nx * nx, ny * ny)
+        q = (self.outer_u @ r) @ self.outer_v.T
+        return q.reshape(-1)[self.cells, None, None]
+
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """A diag(weights) A^H for the flat dictionary A (n x n):
+        sum_c w_c (phi_u,i phi_u,i^H) kron (phi_v,j phi_v,j^H)."""
+        (nx, mu), (ny, mv) = self.phi_u.shape, self.phi_v.shape
+        w = np.zeros(mu * mv, dtype=complex)
+        w[self.cells] = weights
+        c4 = (self.outer_u.T @ (w.reshape(mu, mv) @ self.outer_v)).reshape(nx, nx, ny, ny)
+        return c4.transpose(0, 2, 1, 3).reshape(self.n_rows, self.n_rows)
 
 
 def _operator_for(dictionary, y: SnapshotSet):
@@ -321,18 +351,17 @@ def _operator_for(dictionary, y: SnapshotSet):
     ``run`` already built is passed through, so its stages build none."""
     if isinstance(dictionary, _BlockOperator):
         return dictionary
-    if isinstance(dictionary, DictionaryPair):
-        phi_u = dictionary.phi_u
-        if phi_u.shape[0] != y.nx:
-            raise ValueError(f"phi_u has {phi_u.shape[0]} rows for an nx = {y.nx} array")
-        return _KronIdentityOperator(phi_u, y.ny)
-    if isinstance(dictionary, KronDictionary):
-        if dictionary.matrix.shape[0] != y.size:
-            raise ValueError(
-                f"dictionary has {dictionary.matrix.shape[0]} rows for {y.size} array elements"
-            )
-        return _ColumnOperator(dictionary.matrix)
-    raise TypeError(f"unsupported dictionary type {type(dictionary).__name__}")
+    if not isinstance(dictionary, (DictionaryPair, KronDictionary)):
+        raise TypeError(f"unsupported dictionary type {type(dictionary).__name__}")
+    flat = isinstance(dictionary, KronDictionary)
+    pair = dictionary.pair if flat else dictionary
+    if pair.phi_u.shape[0] != y.nx:
+        raise ValueError(f"phi_u has {pair.phi_u.shape[0]} rows for an nx = {y.nx} array")
+    if not flat:
+        return _KronIdentityOperator(pair.phi_u, y.ny)
+    if pair.phi_v.shape[0] != y.ny:
+        raise ValueError(f"phi_v has {pair.phi_v.shape[0]} rows for an ny = {y.ny} array")
+    return _GridOperator(pair.phi_u, pair.phi_v, dictionary.cells)
 
 
 def _hermitize(blocks: np.ndarray) -> np.ndarray:
@@ -348,8 +377,8 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
 
     gamma_i = ||Y Y^H / L||_F / ||D D^H||_F for the solver's own effective
     dictionary D = A kron I_b, so ||D D^H||_F = ||A A^H||_F sqrt(b) for the
-    operator's factor A; B_i = I / sqrt(b), lambda from ``params`` in fixed
-    mode or 0.01 tr(S_hat) / n in adaptive mode.
+    operator's factor A, whose A A^H is ``gram``; B_i = I / sqrt(b), lambda
+    from ``params`` in fixed mode or 0.01 tr(S_hat) / n in adaptive mode.
     """
     op = _operator_for(dictionary, y)
     scm = sample_covariance(y)
@@ -358,8 +387,9 @@ def init_state(y: SnapshotSet, dictionary, params: HMsblParams) -> HMsblState:
         raise DegenerateInputError("snapshot matrix carries no energy")
     if op.n_blocks == 0:
         raise DegenerateInputError("dictionary has no columns")
-    a, b = op.factor, op.block_size
-    gamma = np.full(op.n_blocks, data_fro / (np.linalg.norm(a @ a.conj().T, "fro") * math.sqrt(b)))
+    b = op.block_size
+    a_fro = np.linalg.norm(op.gram(np.ones(op.n_blocks)), "fro")
+    gamma = np.full(op.n_blocks, data_fro / (a_fro * math.sqrt(b)))
     b_mats = np.broadcast_to(np.eye(b, dtype=complex) / math.sqrt(b), (op.n_blocks, b, b)).copy()
     if params.lambda_mode == "fixed":
         lam = float(params.lambda_value)
@@ -497,7 +527,8 @@ def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) 
            + (lam / n_u) tr(A Gamma A^H (A Gamma A^H + lam I)^-1)
 
     where A is Phi_u (n_u = nx) for the block solver and the flat
-    dictionary (n_u = n) for the baseline.  Floored at
+    dictionary (n_u = n) for the baseline; the operator's ``gram`` gives
+    A Gamma A^H.  Floored at
     1e-12 tr(S_hat) / n so the next factorization stays positive definite.
     ``misfit`` is ||Y - D mu||_F^2 for the posterior mean mu under the
     current prior: ``Posterior.misfit``, which needs no product D mu.
@@ -506,8 +537,8 @@ def update_lambda(y: SnapshotSet, misfit: float, state: HMsblState, dictionary) 
     n = op.n_rows
     L = y.n_snapshots
     lam = misfit / (n * L)
-    a, lam0, n_a = op.factor, state.noise_var, op.factor.shape[0]
-    g = (a * state.gamma) @ a.conj().T
+    g, lam0 = op.gram(state.gamma), state.noise_var
+    n_a = g.shape[0]
     lam += lam0 * np.trace(np.linalg.solve(g + lam0 * np.eye(n_a), g)).real / n_a
     floor = 1e-12 * float(np.linalg.norm(y.y, "fro") ** 2) / (L * n)
     return max(lam, floor)
@@ -591,8 +622,8 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     operator's tables and Gamma down to the blocks left before it factors
     Sigma_y.  Until the set first shrinks ``at`` is ``slice(None)``, so a
     run whose active set never shrinks never gathers or scatters.  Pruning
-    and the noise update's penalty (the full Phi_u, nx x Mu) read the whole
-    state, with gamma = 0 on inactive blocks.
+    and the noise update's penalty (``gram`` of the full operator) read the
+    whole state, with gamma = 0 on inactive blocks.
 
     ``on_iteration(iteration, state, posterior)`` is invoked after every
     completed iteration (1-based); ``state`` covers every block, with

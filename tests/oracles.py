@@ -50,6 +50,17 @@ def kron_identity_loop(phi_u, ny):
     return d
 
 
+def flat_dictionary_loop(labels, nx, ny):
+    """Flat 2-D dictionary by the steering formula: column c holds
+    exp(j pi (p u_c + q v_c)) at row p*ny + q for the (u_c, v_c) of ``labels``."""
+    d = np.zeros((nx * ny, len(labels)), dtype=complex)
+    for c, (u, v) in enumerate(labels):
+        for p in range(nx):
+            for q in range(ny):
+                d[p * ny + q, c] = np.exp(1j * np.pi * (p * u + q * v))
+    return d
+
+
 def block_diag_prior(gamma, b_mats):
     m, b, _ = b_mats.shape
     sigma0 = np.zeros((m * b, m * b), dtype=complex)

@@ -120,6 +120,6 @@ def test_dictionary_pair_validation():
     pair = dictionary_pair(cfg, uniform_grid(5), uniform_grid(4))
     assert pair.phi_u.shape == (3, 5)
     assert pair.phi_v.shape == (2, 4)
-    with pytest.raises(ValueError):
-        KronDictionary(matrix=np.zeros((4, 3), dtype=complex),
-                       column_labels=np.zeros((2, 2)))
+    for cells in ([0, 20], [-1, 3], [3, 3], [4, 2], [[0, 1]], [0.0, 1.0]):  # 5 x 4 = 20 cells
+        with pytest.raises(ValueError):
+            KronDictionary(pair=pair, cells=np.array(cells))

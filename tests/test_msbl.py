@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hmsbl.dictionary import Grid1D, KronDictionary, dictionary_pair, kron_dictionary, uniform_grid
+from hmsbl.dictionary import (DictionaryPair, Grid1D, KronDictionary, dictionary_pair,
+                              kron_dictionary, uniform_grid)
 from hmsbl.msbl import msbl_estimates
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, synthesize_snapshots
 from hmsbl.solver import HMsblParams, HMsblState, run
@@ -18,7 +19,10 @@ def test_single_column_fixed_point_matches_scalar_ml():
     noise = (rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))) * np.sqrt(lam / 2)
     ymat = d[:, None] @ x + noise
     y = SnapshotSet(y=ymat, nx=4, ny=1, n_snapshots=200)
-    kd = KronDictionary(matrix=d[:, None], column_labels=np.array([[0.0, 0.0]]))
+    point = Grid1D(np.array([0.0]))
+    one = DictionaryPair(phi_u=d[:, None], phi_v=np.ones((1, 1), dtype=complex),
+                         grid_u=point, grid_v=point)
+    kd = KronDictionary(pair=one, cells=np.array([0]))  # the column d kron 1
 
     scm = ymat @ ymat.conj().T / 200
     q = (d.conj() @ scm @ d).real

@@ -29,6 +29,7 @@ from oracles import (
     dense_ml_cost,
     dense_posterior,
     dense_sigma_y,
+    flat_dictionary_loop,
     kron_identity_loop,
 )
 
@@ -240,6 +241,26 @@ def test_update_lambda_matches_dense_formula():
     assert got == pytest.approx(resid + pen, rel=1e-10)
 
 
+def test_update_lambda_flat_matches_dense_formula():
+    # the flat penalty is taken on the whole dictionary A = D (n_a = n),
+    # with pruned columns at gamma = 0
+    rng = np.random.default_rng(17)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=5)
+    kd = kron_dictionary(pair)
+    gamma = rng.uniform(0.05, 1.0, size=kd.size)
+    gamma[rng.uniform(size=kd.size) < 0.4] = 0.0
+    state = HMsblState(gamma=gamma, b_mats=np.ones((kd.size, 1, 1), dtype=complex), noise_var=0.3)
+    post = e_step(y, state, kd)
+    got = update_lambda(y, post.misfit, state, kd)
+
+    n, L = y.size, y.n_snapshots
+    d = kd.matrix
+    resid = np.linalg.norm(y.y - d @ post.mu, "fro") ** 2 / (n * L)
+    g = (d * gamma) @ d.conj().T
+    pen = 0.3 * np.trace(np.linalg.solve(g + 0.3 * np.eye(n), g)).real / n
+    assert got == pytest.approx(resid + pen, rel=1e-10)
+
+
 def test_update_lambda_floor():
     # zero gamma and an exact-fit posterior mean leave only the floor
     rng = np.random.default_rng(8)
@@ -322,14 +343,15 @@ def _cplx(rng, *shape):
 @pytest.mark.parametrize("kind", ["kron", "column"])
 def test_operator_kernels_match_dense_products(nx, ny, m, kind):
     # each kernel against the dense (Phi o I_ny) built by the index formula;
-    # the flat operator runs on that dense matrix as M ny blocks of width one
+    # the flat operator runs on that dense matrix as M ny blocks of width one,
+    # the grid cells of Phi o I_ny = Phi o Phi_v with Phi_v = I_ny
     rng = np.random.default_rng(100 * nx + 10 * ny + m)
     phi = _cplx(rng, nx, m)
     d = kron_identity_loop(phi, ny)
     if kind == "kron":
         op, b = solver._KronIdentityOperator(phi, ny), ny
     else:
-        op, b = solver._ColumnOperator(d), 1
+        op, b = solver._GridOperator(phi, np.eye(ny), np.arange(m * ny)), 1
     n_blocks, n_snap = d.shape[1] // b, 3
 
     state = _random_state(rng, n_blocks, b)
@@ -365,7 +387,7 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     if kind == "kron":
         op, b, a = solver._KronIdentityOperator(phi, ny), ny, phi
     else:
-        op, b, a = solver._ColumnOperator(d), 1, d
+        op, b, a = solver._GridOperator(phi, np.eye(ny), np.arange(m * ny)), 1, d
     n_blocks = d.shape[1] // b
     state = _random_state(rng, n_blocks, b, lam=0.3)
     keep = rng.uniform(size=n_blocks) < 0.6  # partially pruned
@@ -420,7 +442,7 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     if kind == "kron":
         op, b = solver._KronIdentityOperator(phi, ny), ny
     else:
-        op, b = solver._ColumnOperator(d), 1
+        op, b = solver._GridOperator(phi, np.eye(ny), np.arange(m * ny)), 1
     n_blocks, n = d.shape[1] // b, nx * ny
     state = _random_state(rng, n_blocks, b, lam=0.2)
     keep = rng.uniform(size=n_blocks) < 0.6
@@ -438,6 +460,118 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     assert np.max(np.abs(marginal.rinv - r)) <= 1e-10 * np.max(np.abs(r))
     assert np.max(np.abs(marginal.ry - r @ y)) <= 1e-10 * np.max(np.abs(r @ y))
     assert marginal.cost == pytest.approx(logdet + np.trace(r @ scm).real, rel=1e-10)
+
+
+def _grid_case(case):
+    """(y, kron dictionary) of one grid shape: unequal axes on the full
+    grid, criterion 1's one-point v grid (ny = 1), and disk-pruned cells."""
+    rng = np.random.default_rng(["unequal", "one-point v", "disk"].index(case) + 60)
+    if case == "unequal":
+        nx, ny, grid_u, grid_v, prune = 3, 2, uniform_grid(5), uniform_grid(7), False
+    elif case == "one-point v":
+        nx, ny, grid_u, grid_v, prune = 4, 1, uniform_grid(12), Grid1D(np.array([0.0])), True
+    else:
+        nx, ny, grid_u, grid_v, prune = 2, 3, uniform_grid(9), uniform_grid(9), True
+    kd = kron_dictionary(dictionary_pair(UraConfig(nx, ny), grid_u, grid_v), prune=prune)
+    y = SnapshotSet(y=_cplx(rng, nx * ny, 4), nx=nx, ny=ny, n_snapshots=4)
+    return rng, y, kd
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("case", ["unequal", "one-point v", "disk"])
+def test_grid_operator_kernels_match_the_flat_dictionary(case, restricted):
+    # every kernel of the flat operator, whole or restricted to a random
+    # subset of its cells, against the materialised dictionary, which in
+    # turn equals the steering formula column by column
+    rng, y, kd = _grid_case(case)
+    if case == "disk":
+        assert kd.size < kd.pair.grid_u.size * kd.pair.grid_v.size
+    d = kd.matrix
+    assert _rel_err(d, flat_dictionary_loop(kd.column_labels, y.nx, y.ny)) < 1e-12
+    op = solver._operator_for(kd, y)
+    index = np.arange(kd.size)
+    if restricted:
+        index = np.flatnonzero(rng.uniform(size=kd.size) < 0.5)
+        op = op.restrict(index)
+        assert op.n_blocks == index.size and op.cells.size == index.size
+    sub = d[:, index]
+    n = y.size
+
+    w = rng.uniform(0.1, 2.0, size=index.size)
+    want = (sub * w) @ sub.conj().T
+    assert _rel_err(op.signal_cov(w.astype(complex)[:, None, None]), want) < 1e-12
+    assert _rel_err(op.gram(w), want) < 1e-12
+
+    rmat = _cplx(rng, n, n)  # not Hermitian: every index order counts
+    want = np.einsum("xc,xy,yc->c", sub.conj(), rmat, sub)
+    assert _rel_err(op.quad_blocks(rmat)[:, 0, 0], want) < 1e-12
+
+    want = sub.conj().T @ y.y
+    assert _rel_err(op.adjoint_blocks(y.y)[:, 0, :], want) < 1e-12
+
+    # scatter places the subset's blocks back among all cells, zero elsewhere
+    placed = op.scatter(w[:, None, None])
+    assert placed.shape == (kd.size, 1, 1)
+    full = np.zeros(kd.size)
+    full[index] = w
+    np.testing.assert_array_equal(placed[:, 0, 0], full)
+
+    # and the posterior through the (restricted) operator is the dense one
+    # with the cells outside the subset at gamma = 0
+    post = solver._marginal(op, w.astype(complex)[:, None, None], 0.2, y)
+    mu_o, var_o = dense_flat_posterior(y.y, d, full, 0.2)
+    assert _rel_err(post.mu, mu_o) < 1e-10
+    assert _rel_err(post.sigma_blocks[:, 0, 0], var_o) < 1e-10
+    assert post.cost == pytest.approx(dense_flat_cost(sample_covariance(y), d, full, 0.2),
+                                      rel=1e-10)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_run_refuses_a_dictionary_of_another_geometry(flat):
+    # a 4 x 4 pair against snapshots of other arrays; the block solver reads
+    # no v grid, so only the flat path checks phi_v
+    pair = dictionary_pair(UraConfig(4, 4), uniform_grid(6), uniform_grid(6))
+    dictionary = kron_dictionary(pair) if flat else pair
+    rng = np.random.default_rng(19)
+    params = HMsblParams(max_iters=3)
+    wide = SnapshotSet(y=_cplx(rng, 16, 5), nx=2, ny=8, n_snapshots=5)
+    with pytest.raises(ValueError, match=r"phi_u has 4 rows for an nx = 2 array"):
+        run(wide, dictionary, params)
+    short = SnapshotSet(y=_cplx(rng, 8, 5), nx=4, ny=2, n_snapshots=5)
+    if flat:
+        with pytest.raises(ValueError, match=r"phi_v has 4 rows for an ny = 2 array"):
+            run(short, dictionary, params)
+    else:
+        assert run(short, dictionary, params)[2].n_iters == 3
+
+
+def test_flat_run_never_forms_the_dictionary():
+    # run() on a kron dictionary reads its pair and cells only; the matrix
+    # is derived on first read, and nothing read it
+    rng = np.random.default_rng(18)
+    y, pair = _random_instance(rng, nx=3, ny=2, mu=8)
+    kd = kron_dictionary(pair)
+    run(y, kd, HMsblParams(max_iters=5, prune_tol=0.1, lambda_mode="adaptive"))
+    assert "matrix" not in vars(kd)
+    assert kd.matrix.shape == (6, kd.size)  # and it is there when asked for
+
+
+def test_grid_operator_tables_are_small_at_16x16():
+    # 16 x 16 with Mu = Mv = 200: the flat operator holds two outer tables
+    # and the cell index, not the 121 MiB dictionary
+    pair = dictionary_pair(UraConfig(16, 16), uniform_grid(200), uniform_grid(200))
+    kd = kron_dictionary(pair)
+    y = SnapshotSet(y=np.zeros((256, 1), dtype=complex), nx=16, ny=16, n_snapshots=1)
+    op = solver._operator_for(kd, y)
+    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+    mib = 1 << 20
+    assert held < 2 * mib
+    assert kd.size * 256 * np.dtype(complex).itemsize > 120 * mib
+    assert "matrix" not in vars(kd)
 
 
 @pytest.mark.parametrize("case", ["negative lam", "lam 1e-30", "nan power", "inf power"])
@@ -471,7 +605,7 @@ def test_adaptive_run_builds_one_operator(monkeypatch, flat):
     y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
     dictionary = kron_dictionary(pair, prune=True) if flat else pair
     built = []
-    for cls in (solver._KronIdentityOperator, solver._ColumnOperator):
+    for cls in (solver._KronIdentityOperator, solver._GridOperator):
         def counting_init(self, *args, _init=cls.__init__):
             built.append(type(self).__name__)
             _init(self, *args)
@@ -483,7 +617,7 @@ def test_adaptive_run_builds_one_operator(monkeypatch, flat):
     params = HMsblParams(max_iters=8, prune_tol=0.1, lambda_mode="adaptive", cost_tol=0.0)
     _, _, diag = run(y, dictionary, params)
     assert diag.n_iters == 8
-    assert built == ["_ColumnOperator" if flat else "_KronIdentityOperator"]
+    assert built == ["_GridOperator" if flat else "_KronIdentityOperator"]
     # and restricts it to the blocks left once per change of the active set,
     # the last iteration's included
     counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
@@ -501,7 +635,7 @@ def test_run_kernels_see_only_the_active_blocks(monkeypatch, flat):
     y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
     dictionary = kron_dictionary(pair, prune=True) if flat else pair
     calls = []
-    for cls in (solver._KronIdentityOperator, solver._ColumnOperator):
+    for cls in (solver._KronIdentityOperator, solver._GridOperator):
         for name in ("signal_cov", "quad_blocks"):
             def counting(self, arg, _kernel=getattr(cls, name), _name=name):
                 calls.append((_name, self.n_blocks))
