@@ -13,9 +13,9 @@ comes from HMSBL_WORKERS processes, which inherit the setting.  It takes
 effect only when hmsbl is imported before numpy.
 
 Importing the package loads numpy but not SciPy.  ``scipy.linalg`` is
-imported at the first solve and ``scipy.optimize`` at the first match, so
-validating a config or writing plot CSVs from a saved record never loads
-SciPy.
+imported at the first solve, so validating a config or writing plot CSVs
+from a saved record never loads SciPy.  Matching never loads
+``scipy.optimize``: the package solves its small assignments itself.
 """
 
 import os

@@ -9,6 +9,7 @@ without any v grid, and pairing with the block's u point is automatic.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,10 @@ def root_music_v(b: np.ndarray, k: int) -> RootMusicEstimate:
     reciprocal pairs and the k roots inside the unit circle closest to it
     are kept, v = arg(root) / pi.  A small gap between the k-th and
     (k+1)-th eigenvalues flags the result as low confidence.
+
+    LAPACK is called directly, ``zheevd`` for the eigenvectors and ``zgeev``
+    for the roots; SciPy is imported at the first call, not with the
+    package.  A LAPACK failure raises ``np.linalg.LinAlgError``.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -92,20 +97,25 @@ def root_music_v(b: np.ndarray, k: int) -> RootMusicEstimate:
     if scale > 0 and np.max(np.abs(b - b.conj().T)) > 1e-8 * scale:
         raise ValueError("correlation matrix must be Hermitian")
 
-    evals, evecs = np.linalg.eigh(b)
+    from scipy.linalg import lapack
+
+    evals, evecs, info = lapack.zheevd(b, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevd failed to converge (info = {info})")
     noise = evecs[:, : ny - k]
     c = noise @ noise.conj().T
-    coeffs = np.array([np.trace(c, offset=m) for m in range(ny - 1, -ny, -1)])
-    roots = np.roots(coeffs)
+    order, starts = _diagonals(ny)
+    roots = _polyroots(np.add.reduceat(c.take(order), starts))
 
-    inside = sorted(roots[np.abs(roots) < 1.0], key=lambda r: abs(1.0 - abs(r)))
-    chosen = list(inside[:k])
-    degenerate = len(chosen) < k
+    mag = np.abs(roots)
+    nearest = np.argsort(np.abs(1.0 - mag), kind="stable")
+    chosen = roots[nearest[mag[nearest] < 1.0][:k]]
+    degenerate = chosen.size < k
     if degenerate:
         # double roots can straddle or sit on the circle; take the nearest
         # leftover roots, skipping conjugate reciprocals of ones already kept
-        rest = sorted(roots[np.abs(roots) >= 1.0], key=lambda r: abs(1.0 - abs(r)))
-        for r in rest:
+        chosen = list(chosen)
+        for r in roots[nearest[mag[nearest] >= 1.0]]:
             if len(chosen) == k:
                 break
             if all(abs(r * np.conj(c0) - 1.0) > 1e-8 for c0 in chosen):
@@ -113,7 +123,7 @@ def root_music_v(b: np.ndarray, k: int) -> RootMusicEstimate:
         while len(chosen) < k:
             chosen.append(0.0 + 0.0j)
 
-    values = np.sort(np.angle(np.array(chosen)) / np.pi)
+    values = np.sort(np.angle(np.asarray(chosen)) / np.pi)
     desc = evals[::-1]
     gap = float((desc[k - 1] - desc[k]) / desc[0]) if desc[0] > 0 else 0.0
     return RootMusicEstimate(
@@ -121,6 +131,47 @@ def root_music_v(b: np.ndarray, k: int) -> RootMusicEstimate:
         eigen_gap=gap,
         low_confidence=bool(gap < _GAP_TOL or degenerate),
     )
+
+
+@lru_cache(maxsize=None)
+def _diagonals(ny: int):
+    """(order, starts) for an ny x ny matrix c: ``c.take(order)`` lists its
+    diagonals from offset ny - 1 down to -(ny - 1), and ``np.add.reduceat``
+    at ``starts`` sums each one, the polynomial's coefficients."""
+    idx = np.arange(ny * ny).reshape(ny, ny)
+    diags = [np.diagonal(idx, m) for m in range(ny - 1, -ny, -1)]
+    order = np.concatenate(diags)
+    starts = np.cumsum([0] + [d.size for d in diags[:-1]])
+    order.flags.writeable = starts.flags.writeable = False  # shared by every caller
+    return order, starts
+
+
+def _polyroots(p: np.ndarray) -> np.ndarray:
+    """The roots ``np.roots(p)`` returns, by the same route: leading and
+    trailing zero coefficients are stripped, the companion matrix's
+    eigenvalues come from ``zgeev``, and each trailing zero adds a zero
+    root."""
+    from scipy.linalg import lapack
+
+    nonzero = np.flatnonzero(p)
+    if nonzero.size == 0:
+        return np.zeros(0, dtype=complex)
+    trailing = p.size - 1 - nonzero[-1]
+    p = p[nonzero[0]: nonzero[-1] + 1]
+    n = p.size - 1
+    roots = np.zeros(0, dtype=complex)
+    if n > 0:
+        # built transposed in C order, so its transpose is the Fortran-ordered
+        # companion: first row -p[1:] / p[0], ones on the subdiagonal
+        comp_t = np.zeros((n, n), dtype=complex)
+        comp_t[:, 0] = -p[1:] / p[0]
+        if not np.isfinite(comp_t[:, 0]).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        comp_t.flat[1::n + 1] = 1.0
+        roots, _, _, info = lapack.zgeev(comp_t.T, compute_vl=0, compute_vr=0, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgeev failed to converge (info = {info})")
+    return np.concatenate((roots, np.zeros(trailing, dtype=complex)))
 
 
 def pair_estimates(state, grid_u: Grid1D, allocation):

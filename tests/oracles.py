@@ -169,3 +169,36 @@ def vandermonde_projector_roots(b, k):
         if len(idx) == k:
             break
     return np.sort(vs[np.array(idx)])
+
+
+def root_music_np_roots(b, k):
+    """(values, eigen_gap, low_confidence) of root-MUSIC as the package first
+    computed it: ``np.linalg.eigh``, one ``np.trace`` per diagonal and
+    ``np.roots``.  ``b`` is a Hermitian ny x ny block and 1 <= k <= ny - 1."""
+    b = np.asarray(b, dtype=complex)
+    ny = b.shape[0]
+    evals, evecs = np.linalg.eigh(b)
+    noise = evecs[:, : ny - k]
+    c = noise @ noise.conj().T
+    coeffs = np.array([np.trace(c, offset=m) for m in range(ny - 1, -ny, -1)])
+    roots = np.roots(coeffs)
+
+    inside = sorted(roots[np.abs(roots) < 1.0], key=lambda r: abs(1.0 - abs(r)))
+    chosen = list(inside[:k])
+    degenerate = len(chosen) < k
+    if degenerate:
+        # double roots can straddle or sit on the circle; take the nearest
+        # leftover roots, skipping conjugate reciprocals of ones already kept
+        rest = sorted(roots[np.abs(roots) >= 1.0], key=lambda r: abs(1.0 - abs(r)))
+        for r in rest:
+            if len(chosen) == k:
+                break
+            if all(abs(r * np.conj(c0) - 1.0) > 1e-8 for c0 in chosen):
+                chosen.append(r)
+        while len(chosen) < k:
+            chosen.append(0.0 + 0.0j)
+
+    values = np.sort(np.angle(np.array(chosen)) / np.pi)
+    desc = evals[::-1]
+    gap = float((desc[k - 1] - desc[k]) / desc[0]) if desc[0] > 0 else 0.0
+    return values, gap, bool(gap < 0.1 or degenerate)

@@ -1,4 +1,5 @@
-"""SciPy loads at the first solve and the first match, never at import.
+"""SciPy's linear algebra loads at the first solve, never at import, and
+its optimizer never: matching uses the package's own assignment solver.
 
 Validating configs and re-emitting plots from a record are the package's
 fast paths; they import hmsbl and nothing that solves.  The check runs in
@@ -61,5 +62,6 @@ def test_validate_and_emit_plots_never_load_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout.splitlines()[-1])
     assert seen["before"] == []
-    assert {"scipy.linalg", "scipy.optimize"} <= set(seen["after"])
+    assert "scipy.linalg" in seen["after"]
+    assert "scipy.optimize" not in seen["after"]
     assert sorted(os.listdir(tmp_path / "plots")) == ["convergence.csv", "scatter.csv", "timing.csv"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hmsbl.experiments import run_experiment, validate_config
-from hmsbl.metrics import MatchCountError, match_and_rmse
+from hmsbl.metrics import MatchCountError, _assign, match_and_rmse
 
 
 def test_match_exact_identity():
@@ -107,6 +107,91 @@ def test_partial_report_is_the_best_injection(n_truth, n_est):
         assert len(partial.assignment) == len(partial.per_source_sq_err) == n
         assert len(set(partial.assignment)) == n
         assert partial.rmse == pytest.approx(np.sqrt(_brute_force_sq_sum(truth, est) / n), rel=1e-12)
+
+
+def _seeded_costs(n, seed):
+    """``n`` cost matrices of 1-10 rows by 1-10 columns, tall and wide,
+    cycling through uniform entries, small integers (many ties), rounded
+    squares, and small integers with about a third of the pairs forbidden
+    by +inf."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        shape = tuple(rng.integers(1, 11, size=2))
+        kind = i % 4
+        if kind == 0:
+            yield rng.uniform(size=shape)
+        elif kind == 1:
+            yield rng.integers(0, 3, size=shape).astype(float)
+        elif kind == 2:
+            yield np.round(rng.uniform(size=shape) ** 2, 1)
+        else:
+            cost = rng.integers(0, 4, size=shape).astype(float)
+            cost[rng.uniform(size=shape) < 0.3] = np.inf
+            yield cost
+
+
+def test_assign_matches_scipy_on_seeded_matrices():
+    # the port must return SciPy's pairs, ties included, so records do not
+    # depend on which solver matched them
+    from scipy.optimize import linear_sum_assignment
+
+    compared = infeasible = 0
+    shapes = set()
+    for cost in _seeded_costs(10400, seed=22):
+        try:
+            want = linear_sum_assignment(cost)
+        except ValueError:
+            with pytest.raises(ValueError, match="infeasible"):
+                _assign(cost)
+            infeasible += 1
+            continue
+        rows, cols = _assign(cost)
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(cols, want[1])
+        compared += 1
+        shapes.add(cost.shape)
+    assert compared >= 10000
+    assert infeasible > 0
+    assert len(shapes) == 100
+
+
+def test_assign_square_constant_cost_is_the_identity():
+    rows, cols = _assign(np.ones((5, 5)))
+    assert rows.tolist() == cols.tolist() == [0, 1, 2, 3, 4]
+
+
+def test_assign_tall_returns_rows_ascending():
+    cost = np.array([[5.0, 0.0], [0.0, 5.0], [1.0, 1.0]])
+    rows, cols = _assign(cost)
+    assert rows.tolist() == [0, 1]
+    assert cols.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_assign_rejects_nan_and_minus_inf(bad):
+    cost = np.ones((3, 4))
+    cost[1, 2] = bad
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        _assign(cost)
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        _assign(cost.T)
+
+
+def test_assign_rejects_infeasible_cost():
+    # row 0 and row 1 may only take column 0
+    cost = np.array([[1.0, np.inf, np.inf], [2.0, np.inf, np.inf]])
+    with pytest.raises(ValueError, match="infeasible"):
+        _assign(cost)
+    with pytest.raises(ValueError, match="infeasible"):
+        _assign(cost.T)
+
+
+def test_assign_empty_and_non_matrix():
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        rows, cols = _assign(np.zeros(shape))
+        assert rows.size == cols.size == 0
+    with pytest.raises(ValueError, match="2-D"):
+        _assign(np.zeros(3))
 
 
 def test_match_empty_truth_rejected():

@@ -4,7 +4,7 @@ import pytest
 from hmsbl.dictionary import Grid1D, steering, uniform_grid
 from hmsbl.pairing import pair_estimates, root_music_v, select_peaks
 from hmsbl.solver import HMsblState
-from oracles import select_peaks_loop, vandermonde_projector_roots
+from oracles import root_music_np_roots, select_peaks_loop, vandermonde_projector_roots
 
 
 def _corr(vs, ny, weights=None):
@@ -146,6 +146,78 @@ def test_root_music_values_sorted_and_bounded():
         assert np.all(np.diff(est.values) >= 0)
         assert np.all(np.abs(est.values) <= 1.0)
         np.testing.assert_allclose(est.values, vs, atol=1e-6)
+
+
+def _assert_same_rooting(b, k):
+    est = root_music_v(b, k)
+    values, gap, low_confidence = root_music_np_roots(b, k)
+    np.testing.assert_allclose(est.values, values, rtol=0, atol=1e-10)
+    assert abs(est.eigen_gap - gap) <= 1e-14
+    assert est.low_confidence == low_confidence
+
+
+def test_root_music_matches_np_roots_path():
+    # random PSD blocks have simple roots, so the LAPACK path and the
+    # np.linalg / np.roots path agree to rounding; a block that is exactly
+    # rank k plus loading has double roots on the unit circle, conditioned
+    # at sqrt(eps), where any change of summation order moves them ~1e-8
+    rng = np.random.default_rng(7)
+    for ny in (2, 3, 4, 6, 8, 16):
+        for k in range(1, ny):
+            for loading in np.logspace(-8, 0, 9):
+                for _ in range(6):
+                    x = rng.normal(size=(ny, ny)) + 1j * rng.normal(size=(ny, ny))
+                    _assert_same_rooting(x @ x.conj().T / ny + loading * np.eye(ny), k)
+
+
+def test_root_music_degenerate_blocks_match_np_roots_path():
+    # identity and zero blocks have no signal subspace; a diagonal block's
+    # noise projector is diagonal, so its polynomial is a monomial whose
+    # roots are all stripped trailing zeros; a rank-1 block at ny = 2
+    # sometimes (about 1 v in 100) has both roots on or outside the circle,
+    # which takes the nearest-leftover branch and flags the result
+    for ny in (2, 3, 4, 6, 8, 16):
+        for k in range(1, ny):
+            for b in (np.eye(ny, dtype=complex), np.zeros((ny, ny), dtype=complex)):
+                _assert_same_rooting(b, k)
+                assert root_music_v(b, k).low_confidence
+            diagonal = np.diag(np.arange(ny, 0, -1)).astype(complex)
+            _assert_same_rooting(diagonal, k)
+    flagged = 0
+    for v in np.random.default_rng(0).uniform(-1, 1, size=200):
+        a = steering(v, 2)
+        _assert_same_rooting(np.outer(a, a.conj()), 1)
+        flagged += root_music_v(np.outer(a, a.conj()), 1).low_confidence
+    assert flagged > 0
+
+
+def test_root_music_rank_one_blocks_agree_to_double_root_conditioning():
+    # a noise-free rank-1 block puts a double root on the unit circle, and
+    # rounding splits it by about sqrt(eps): each path lands within 1e-8 of
+    # v, so the two agree only to a few 1e-8
+    for ny in (3, 4, 6, 8, 16):
+        for v in np.linspace(-0.95, 0.95, 20):
+            a = steering(v, ny)
+            b = np.outer(a, a.conj())
+            est = root_music_v(b, 1)
+            values, gap, low_confidence = root_music_np_roots(b, 1)
+            assert abs(est.values[0] - v) < 2e-8
+            assert abs(values[0] - v) < 2e-8
+            assert abs(est.eigen_gap - gap) <= 1e-14
+            assert est.low_confidence == low_confidence
+
+
+def test_root_music_lapack_failure_raises_linalg_error(monkeypatch):
+    from scipy.linalg import lapack
+
+    def failing(a, lower=0):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((n, n), dtype=complex), 1
+
+    monkeypatch.setattr(lapack, "zheevd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="zheevd"):
+        root_music_v(_corr([0.2], 4), 1)
+    assert issubclass(np.linalg.LinAlgError, ValueError)  # so a trial records it
 
 
 # ---------------------------------------------------------------------------
