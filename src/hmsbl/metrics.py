@@ -44,13 +44,14 @@ def match_and_rmse(estimates, truth) -> MatchReport:
     tru = np.asarray(truth, dtype=float).reshape(-1, 2)
     if tru.shape[0] == 0:
         raise ValueError("truth must contain at least one source")
-    cost = np.sum((tru[:, None, :] - est[None, :, :]) ** 2, axis=2)
+    d = tru[:, None, :] - est[None, :, :]
+    cost = (d * d).sum(axis=2)
     rows, cols = _assign(cost)
     errs = cost[rows, cols]
     report = MatchReport(
-        assignment=tuple(int(j) for j in cols),
-        per_source_sq_err=tuple(float(e) for e in errs),
-        rmse=float(np.sqrt(errs.mean())) if errs.size else float("nan"),
+        assignment=tuple(cols.tolist()),
+        per_source_sq_err=tuple(errs.tolist()),
+        rmse=math.sqrt(errs.mean()) if errs.size else math.nan,
         unmatched=est.shape[0] != tru.shape[0],
     )
     if report.unmatched:

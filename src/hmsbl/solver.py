@@ -32,8 +32,10 @@ The M-step is Gamma_i <- M_i, with no per-block inverse, and the loop
 carries Gamma_i as its state: the moments are the next prior as they stand.
 Of the split gamma_i = ||M_i||_F, B_i = M_i / gamma_i it reads only gamma
 (for pruning and the noise update); B_i is formed only when ``run`` hands
-the state out.  And, because D mu = Y - lam R Y, the noise update's data
-misfit is
+the state out.  Blocks of width one (the flat baseline) take elementwise
+products for the moments and their powers, and their B is the constant 1,
+which is never rewritten.  And, because D mu = Y - lam R Y, the noise
+update's data misfit is
 
     ||Y - D mu||_F^2 = lam^2 ||R Y||_F^2.
 
@@ -191,8 +193,7 @@ class Posterior:
 
     @cached_property
     def sigma_blocks(self) -> np.ndarray:
-        quad = self.op.quad_blocks(self.rinv)
-        return self.op.scatter(_hermitize(self.scaled - self.scaled @ quad @ self.scaled))
+        return self.op.scatter(_sandwich(self.scaled, self.op.quad_blocks(self.rinv)))
 
 
 @dataclass
@@ -364,10 +365,6 @@ def _operator_for(dictionary, y: SnapshotSet):
     return _GridOperator(pair.phi_u, pair.phi_v, dictionary.cells)
 
 
-def _hermitize(blocks: np.ndarray) -> np.ndarray:
-    return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
-
-
 # ---------------------------------------------------------------------------
 # solver operations
 
@@ -415,7 +412,11 @@ def _active_part(op, state: HMsblState):
 
 def _store_b(state: HMsblState, at, moments: np.ndarray, gamma: np.ndarray, where: np.ndarray):
     """B_i = M_i / gamma_i into ``state`` for the blocks ``where`` of the
-    loop's blocks, which sit at ``at`` in it."""
+    loop's blocks, which sit at ``at`` in it.  A unit-Frobenius 1 x 1 B
+    is 1, as ``init_state`` sets it and M_i / |M_i| keeps it for a positive
+    M_i, so blocks of width one are never written."""
+    if moments.shape[-1] == 1:
+        return
     b_mats = state.b_mats[at]  # a view while ``at`` is slice(None), else a copy
     np.divide(moments, gamma[:, None, None], out=b_mats, where=where[:, None, None])
     if not isinstance(at, slice):
@@ -452,10 +453,27 @@ def _marginal(op, scaled: np.ndarray, lam: float, data: SnapshotSet) -> Posterio
     return Posterior(op=op, data=data, scaled=scaled, rinv=rinv, ry=ry, cost=cost, lam=lam)
 
 
+def _sandwich(scaled: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """The Hermitian part of Gamma_i - Gamma_i Q_i Gamma_i for the stacked
+    blocks Gamma_i = ``scaled`` and Q_i = ``quad``.  Blocks of width one
+    take elementwise products, and the Hermitian part of a 1 x 1 block is
+    its real part; wider blocks take stacked products."""
+    if scaled.shape[-1] == 1:
+        out = scaled * quad
+        out *= scaled
+        np.subtract(scaled, out, out=out)
+        out.imag = 0.0
+        return out
+    out = scaled - scaled @ quad @ scaled
+    out += out.conj().swapaxes(-1, -2)
+    out *= 0.5
+    return out
+
+
 def _moments(op, m: Posterior) -> np.ndarray:
     """Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i."""
     rsr = (m.ry * (1.0 / m.data.n_snapshots)) @ m.ry.conj().T  # a complex * is cheaper than /
-    return _hermitize(m.scaled - m.scaled @ op.quad_blocks(m.rinv - rsr) @ m.scaled)
+    return _sandwich(m.scaled, op.quad_blocks(m.rinv - rsr))
 
 
 def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
@@ -476,8 +494,8 @@ def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
 
 def _moment_blocks(post, n_blocks: int, block_size: int, n_snapshots: int) -> np.ndarray:
     mu_b = post.mu.reshape(n_blocks, block_size, -1)
-    outer = (mu_b @ mu_b.conj().swapaxes(-1, -2)) / n_snapshots
-    return _hermitize(post.sigma_blocks + outer)
+    moments = post.sigma_blocks + (mu_b @ mu_b.conj().swapaxes(-1, -2)) / n_snapshots
+    return 0.5 * (moments + moments.conj().swapaxes(-1, -2))
 
 
 def update_gamma(post, state: HMsblState, n_snapshots: int, b_loading: float) -> np.ndarray:
@@ -637,6 +655,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     op = _operator_for(dictionary, y)
     state = init_state(y, op, params)
     data = compress_snapshots(y) if params.compress else y
+    width = op.block_size
 
     # the loop runs on ``cop``, the operator restricted to the active blocks,
     # and ``scaled``, their Gamma_i; those blocks sit at ``at`` in ``state``
@@ -651,15 +670,21 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
         moments = _moments(cop, post)
-        alive = np.einsum("mkk->m", moments).real > 0
+        # for width-one blocks ``power`` is a view, so ``fro`` below sees the
+        # dead moments zeroed
+        power = moments[:, 0, 0].real if width == 1 else np.einsum("mkk->m", moments).real
+        alive = power > 0
         if not alive.all():
             if not alive.any():
                 raise SolverError("all block powers collapsed to zero")
             if it > 1:  # a dying block keeps the B of its last moment
                 _store_b(state, at, post.scaled, state.gamma[at], ~alive)
             moments[~alive] = 0.0
-        flat = moments.reshape(cop.n_blocks, -1).view(float)  # real and imaginary parts
-        fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
+        if width == 1:
+            fro = np.abs(power)
+        else:
+            flat = moments.reshape(cop.n_blocks, -1).view(float)  # real and imaginary parts
+            fro = np.sqrt(np.einsum("mi,mi->m", flat, flat))
         scaled, state.gamma[at] = moments, fro
 
         if params.lambda_mode == "adaptive":

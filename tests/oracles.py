@@ -7,6 +7,8 @@ internals, so agreement is evidence rather than tautology.
 
 import numpy as np
 
+from hmsbl.metrics import MatchCountError, MatchReport, _assign
+
 
 def steering_loop(freq, n):
     out = np.empty(n, dtype=complex)
@@ -202,3 +204,24 @@ def root_music_np_roots(b, k):
     desc = evals[::-1]
     gap = float((desc[k - 1] - desc[k]) / desc[0]) if desc[0] > 0 else 0.0
     return values, gap, bool(gap < 0.1 or degenerate)
+
+
+def match_and_rmse_numpy(estimates, truth):
+    """``metrics.match_and_rmse`` with its earlier per-element numpy scalar
+    conversions; the assignment is the package's own ``_assign``."""
+    est = np.asarray(estimates, dtype=float).reshape(-1, 2)
+    tru = np.asarray(truth, dtype=float).reshape(-1, 2)
+    if tru.shape[0] == 0:
+        raise ValueError("truth must contain at least one source")
+    cost = np.sum((tru[:, None, :] - est[None, :, :]) ** 2, axis=2)
+    rows, cols = _assign(cost)
+    errs = cost[rows, cols]
+    report = MatchReport(
+        assignment=tuple(int(j) for j in cols),
+        per_source_sq_err=tuple(float(e) for e in errs),
+        rmse=float(np.sqrt(errs.mean())) if errs.size else float("nan"),
+        unmatched=est.shape[0] != tru.shape[0],
+    )
+    if report.unmatched:
+        raise MatchCountError(f"{est.shape[0]} estimates for {tru.shape[0]} truth sources", report)
+    return report

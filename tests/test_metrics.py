@@ -6,6 +6,7 @@ import pytest
 
 from hmsbl.experiments import run_experiment, validate_config
 from hmsbl.metrics import MatchCountError, _assign, match_and_rmse
+from oracles import match_and_rmse_numpy
 
 
 def test_match_exact_identity():
@@ -197,6 +198,42 @@ def test_assign_empty_and_non_matrix():
 def test_match_empty_truth_rejected():
     with pytest.raises(ValueError):
         match_and_rmse(np.zeros((1, 2)), np.zeros((0, 2)))
+
+
+def _report_fields(report):
+    # each field with its Python type; NaN compares equal to NaN
+    fields = (report.assignment, report.per_source_sq_err, report.rmse, report.unmatched)
+    return [(type(f), [type(x) for x in f] if isinstance(f, tuple) else None,
+             "nan" if f != f else f) for f in fields]
+
+
+def _match_outcome(fn, est, truth):
+    try:
+        return "report", _report_fields(fn(est, truth))
+    except MatchCountError as exc:
+        return "count", str(exc), _report_fields(exc.partial_report)
+
+
+def test_match_agrees_with_the_numpy_form_field_for_field():
+    # the same MatchReport, with the same Python types, as the numpy form on
+    # seeded sets of 1-6 sources: equal and unequal counts, and ties from
+    # coordinates on a coarse lattice
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for i in range(1200):
+        k = int(rng.integers(1, 7))
+        n_est = k if i % 2 == 0 else int(rng.integers(0, 7))
+        if i % 3 == 0:  # many equal costs
+            truth = rng.integers(-2, 3, size=(k, 2)) * 0.25
+            est = rng.integers(-2, 3, size=(n_est, 2)) * 0.25
+        else:
+            truth = rng.uniform(-0.9, 0.9, size=(k, 2))
+            est = rng.uniform(-0.9, 0.9, size=(n_est, 2))
+        got = _match_outcome(match_and_rmse, est, truth)
+        assert got == _match_outcome(match_and_rmse_numpy, est, truth)
+        kinds.add((got[0], i % 3 == 0, n_est == 0))
+    assert kinds == {(kind, ties, False) for kind in ("report", "count") for ties in (False, True)} | {
+        ("count", False, True), ("count", True, True)}
 
 
 def _record(trials):

@@ -1011,6 +1011,91 @@ def _pruning_adaptive_case(flat, seed=41):
     return y, kron_dictionary(pair, prune=True) if flat else pair
 
 
+def _stacked_sandwich(scaled, quad):
+    # the Hermitian part of Gamma - Gamma Q Gamma by stacked products
+    out = scaled - scaled @ quad @ scaled
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("case", ["disk", "disk, restricted", "kron, ny = 1"])
+def test_width_one_moments_equal_the_stacked_form(case):
+    # blocks of width one take elementwise products; they must give exactly
+    # the stacked form's moments and posterior covariances, also where a
+    # moment's trace is zero or negative and where Gamma is not real
+    if case == "kron, ny = 1":
+        rng = np.random.default_rng(67)
+        pair = dictionary_pair(UraConfig(4, 1), uniform_grid(12), Grid1D(np.array([0.0])))
+        y = SnapshotSet(y=_cplx(rng, 4, 6), nx=4, ny=1, n_snapshots=6)
+        op = solver._operator_for(pair, y)
+    else:
+        rng, y, kd = _grid_case("disk")
+        op = solver._operator_for(kd, y)
+        if case == "disk, restricted":
+            op = op.restrict(np.flatnonzero(rng.uniform(size=kd.size) < 0.5))
+    assert op.block_size == 1
+    m = op.n_blocks
+    gamma = rng.uniform(0.1, 2.0, size=m).astype(complex)[:, None, None]
+    post = solver._marginal(op, gamma, 0.2, y)
+    rsr = (post.ry * (1.0 / y.n_snapshots)) @ post.ry.conj().T  # as _moments forms it
+    q_moment = op.quad_blocks(post.rinv - rsr)
+    q_sigma = op.quad_blocks(post.rinv)
+
+    scaled = gamma.copy()
+    scaled[0] = 0.0  # a zero moment
+    scaled[1] = -1.0  # a negative one
+    scaled[2] = 4.0 / q_moment[2].real  # Gamma Q Gamma = 4 Gamma: negative
+    scaled[3] = 0.5 + 0.3j  # not real
+    edited = solver.Posterior(op=op, data=y, scaled=scaled, rinv=post.rinv, ry=post.ry,
+                              cost=post.cost, lam=post.lam)
+    for posterior in (post, edited):
+        got = solver._moments(op, posterior)
+        want = _stacked_sandwich(posterior.scaled, q_moment)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype and got.shape == (m, 1, 1)
+    assert got[0, 0, 0] == 0 and (got[1:3, 0, 0].real < 0).all()
+    for posterior in (post, edited):
+        np.testing.assert_array_equal(posterior.sigma_blocks,
+                                      op.scatter(_stacked_sandwich(posterior.scaled, q_sigma)))
+
+
+def test_a_flat_run_hands_out_unit_b_throughout(monkeypatch):
+    # a unit-Frobenius 1 x 1 B is 1: every state a flat run shows its
+    # observer, and the one it returns, carries B = 1 + 0j on every block,
+    # while pruning shrinks the set and a block dies of a zero moment and
+    # another of a negative one, each with gamma = 0 from that iteration on
+    y, kd = _pruning_adaptive_case(True)
+    calls = []
+
+    def kill_two_at_3(m):
+        calls.append(1)
+        if len(calls) == 3:
+            order = np.argsort(m[:, 0, 0].real)
+            m[order[-1]] = -m[order[-1]]  # the largest moment turns negative
+            m[order[-2]] = 0.0
+        return m
+
+    moments = _recording_moments(monkeypatch, kill_two_at_3)
+    params = HMsblParams(max_iters=40, prune_tol=2e-2, lambda_mode="adaptive", cost_tol=0.0)
+    gammas, b_seen = [], []
+
+    def grab(it, state, post):
+        gammas.append(state.gamma.copy())
+        b_seen.append(state.b_mats.copy())
+
+    state, _, diag = run(y, kd, params, on_iteration=grab)
+    counts = [kd.size] + diag.active_counts
+    assert sum(b < a for a, b in zip(counts, counts[1:])) >= 2  # pruned, not only killed
+    dead = np.flatnonzero(moments[2][:, 0, 0].real < 0)
+    zero = np.flatnonzero((moments[2][:, 0, 0] == 0) & (moments[1][:, 0, 0] != 0))
+    assert dead.size == 1 and zero.size >= 1
+    for g in gammas[2:] + [state.gamma]:
+        assert g[dead] == 0 and not g[zero].any()
+    for b_mats in b_seen + [state.b_mats]:
+        assert b_mats.shape == (kd.size, 1, 1)
+        np.testing.assert_array_equal(b_mats, np.ones((kd.size, 1, 1), dtype=complex))
+        assert not np.signbit(b_mats.imag).any()
+
+
 @pytest.mark.parametrize("flat", [False, True])
 def test_run_result_does_not_depend_on_an_observer(flat):
     # B is formed where run() hands the state out; that only presents the
