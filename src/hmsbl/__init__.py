@@ -79,6 +79,7 @@ from .experiments import (
     ResultRecord,
     emit_plot_data,
     load_config,
+    bench_and_save,
     run_and_save,
     run_bench,
     run_experiment,
@@ -110,5 +111,5 @@ __all__ = [
     # experiments
     "ExperimentConfig", "ConfigError", "ResultRecord",
     "validate_config", "load_config", "scene_for_trial",
-    "run_experiment", "run_bench", "run_and_save", "emit_plot_data",
+    "run_experiment", "run_bench", "run_and_save", "bench_and_save", "emit_plot_data",
 ]

@@ -71,17 +71,13 @@ def _cmd_bench(args):
     config = _load_or_exit(args.config)
     out = _out_dir_or_exit(args.out)
     try:
-        rows, assessment = experiments.run_bench(config)
+        record, paths = experiments.bench_and_save(config, out)
     except (SolverError, DegenerateInputError, experiments.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    record = experiments._new_record(config)
-    record.timing = rows
-    record.aggregate["timing"] = assessment
-    paths = experiments._save_record(record, out, "timing")
     for path in paths:
         print(f"wrote {path}")
-    print(json.dumps(assessment, indent=2))
+    print(json.dumps(record.aggregate["timing"], indent=2))
     return 0
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "run_experiment",
     "run_bench",
     "run_and_save",
+    "bench_and_save",
     "emit_plot_data",
 ]
 
@@ -346,9 +347,12 @@ def _cross_validate(config):
     if gen is not None and gen["kind"] == "grid_product":
         grid_u = uniform_grid(config.mu)
         grid_v = uniform_grid(config.mv)
+        axes = (("u_indices", grid_u), ("v_indices", grid_v))
         grid_errs = [f"scene.generator.{key}: index {i} outside the {grid.size}-point grid"
-                     for key, grid in (("u_indices", grid_u), ("v_indices", grid_v))
-                     for i in gen[key] if i >= grid.size]
+                     for key, grid in axes for i in gen[key] if i >= grid.size]
+        for key, _ in axes:  # a repeated index places coincident sources
+            repeated = sorted({i for i in gen[key] if gen[key].count(i) > 1})
+            errs.extend(f"scene.generator.{key}: index {i} repeated" for i in repeated)
         if not grid_errs:
             u, v = np.meshgrid(grid_u.points[gen["u_indices"]], grid_v.points[gen["v_indices"]],
                                indexing="ij")
@@ -736,19 +740,25 @@ def _new_record(config: ExperimentConfig) -> "ResultRecord":
     )
 
 
+def _timing_record(config: ExperimentConfig) -> "ResultRecord":
+    """``config``'s record holding ``run_bench``'s rows and, under
+    ``aggregate["timing"]``, its assessment."""
+    record = _new_record(config)
+    record.timing, record.aggregate["timing"] = run_bench(config)
+    return record
+
+
 def run_experiment(config: ExperimentConfig) -> "ResultRecord":
     """Dispatch a validated config to its scenario and collect a record."""
-    record = _new_record(config)
     if config.experiment == "exp1":
-        rows, assessment = run_bench(config)
-        record.timing = rows
-        record.aggregate["timing"] = assessment
+        record = _timing_record(config)
         scatter_trial = _generic_trial(config, 0)
         record.trials = [scatter_trial]
         record.scatter = _scatter_rows(scatter_trial)
         _collect_errors(record)
         return record
 
+    record = _new_record(config)
     if config.experiment == "exp3":
         record.trials = _map_trials(_budget_curve_trial, config)
         horizon = max(config.budgets)
@@ -932,6 +942,13 @@ def run_and_save(config: ExperimentConfig, out_dir=None):
     (record, written paths)."""
     record = run_experiment(config)
     return record, _save_record(record, out_dir or config.output_dir or ".", "all")
+
+
+def bench_and_save(config: ExperimentConfig, out_dir):
+    """Run ``config``'s timing sweep alone, write record.json plus the timing
+    CSV, and return (record, written paths)."""
+    record = _timing_record(config)
+    return record, _save_record(record, out_dir, "timing")
 
 
 def _save_record(record: ResultRecord, out_dir, kind: str):

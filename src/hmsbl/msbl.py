@@ -6,7 +6,8 @@ the scalar 1 and the power update becomes the classic
 gamma_p <- sigma_x,p + ||mu_p||^2 / L.  Per-iteration cost scales with the
 pruned column count mu * mv, which is exactly what the block solver avoids.
 The baseline is ``solver.run`` on a ``KronDictionary``, whose columns the
-solver applies through two outer tables without forming them; this module
+solver applies without forming them, as the block solver's operator over
+the whole u grid followed by one product through the v grid; this module
 reads its (u, v) estimates off the resulting state.
 """
 

@@ -17,9 +17,12 @@ the marginal covariance blockwise as
 which is one GEMM of the cached table of outer products phi_i phi_i^H
 (M x nx^2) against the stacked gamma_i B_i (M x ny^2).  The per-block
 quadratic forms D_i^H W D_i are one GEMM through the same table.  The flat
-backend is the same contraction with B_i replaced by the weighted v-grid
-outer products sum_j w_ij phi_v,j phi_v,j^H: two outer tables, one per
-grid axis, and no (n x Mu Mv) matrix.
+backend is the block backend over the whole u grid followed by one GEMM
+over the v grid, since Phi_u kron Phi_v = (Phi_u kron I_ny)(I_Mu kron Phi_v):
+Sigma_y takes gamma_i B_i = sum_j w_ij phi_v,j phi_v,j^H for the weights w
+of its cells, formed through the v table (Mv x ny^2), the quadratic forms
+are the block backend's read through the same table, and no (n x Mu Mv)
+matrix is formed.
 
 An EM iteration never forms the posterior.  With R = Sigma_y^-1, the
 sample covariance S = Y Y^H / L and Gamma_i = gamma_i B_i, the posterior
@@ -297,54 +300,47 @@ class _KronIdentityOperator(_BlockOperator):
 
 class _GridOperator(_BlockOperator):
     """The columns phi_u,i kron phi_v,j of the grid cells ``cells`` (flat
-    indices i Mv + j) as blocks of width one; Phi_u kron Phi_v is never
-    formed.  By the mixed-product identity every kernel is GEMMs over the
-    whole grid through the outer tables P_u (Mu x nx^2) and P_v (Mv x ny^2),
-    read at ``cells``:
-
-        signal_cov:     P_u^T W P_v, W the Mu x Mv weight grid, zero off the cells
-        quad_blocks:    conj(P_u) R4 conj(P_v)^T, R4[(x, x'), (y, y')] = Rinv[x ny + y, x' ny + y']
-        adjoint_blocks: Phi_u^H W3 conj(Phi_v), W3[x, y, l] = w[x ny + y, l]
-
-    with the conjugates taken by index swaps, as for ``_KronIdentityOperator``.
-    W is complex: a real W against the complex P_v leaves BLAS.  A
-    restriction slices ``cells`` alone.  ``gram``'s A is the flat dictionary.
+    indices i Mv + j) as blocks of width one.  By the identity
+    Phi_u kron Phi_v = (Phi_u kron I_ny)(I_Mu kron Phi_v) every kernel is
+    the kernel of ``u``, the operator of Phi_u kron I_ny over the whole u
+    grid, and one GEMM through phi_v or the outer table P_v (Mv x ny^2),
+    read at ``cells``; Phi_u kron Phi_v is never formed.  A restriction
+    slices ``cells`` alone.  ``gram``'s A is the flat dictionary.
     """
 
     _per_block = (("cells", 0),)
 
-    def __init__(self, phi_u: np.ndarray, phi_v: np.ndarray, cells: np.ndarray):
-        self.phi_u = np.asarray(phi_u, dtype=complex)
+    def __init__(self, u: _KronIdentityOperator, phi_v: np.ndarray, cells: np.ndarray):
+        self.u = u
         self.phi_v = np.asarray(phi_v, dtype=complex)
-        self.outer_u, self.outer_v = _outer_table(self.phi_u), _outer_table(self.phi_v)
+        self.outer_v = _outer_table(self.phi_v)
         self.cells = np.asarray(cells)
-        self.n_blocks, self.block_size = self.cells.size, 1
-        self.n_rows = self.phi_u.shape[0] * self.phi_v.shape[0]
+        self.n_blocks, self.block_size, self.n_rows = self.cells.size, 1, u.n_rows
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
         return self.gram(scaled[:, 0, 0].real)
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        (nx, mu), (ny, mv) = self.phi_u.shape, self.phi_v.shape
-        t = (self.phi_u.conj().T @ w.reshape(nx, -1)).reshape(mu, ny, -1)
-        z = self.phi_v.conj().T @ t  # (Mu, Mv, L)
-        return z.reshape(mu * mv, -1)[self.cells, None, :]
+        z = self.phi_v.conj().T @ self.u.adjoint_blocks(w)  # (Mu, Mv, L)
+        return z.reshape(-1, z.shape[-1])[self.cells, None, :]
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
-        # (phi_u,i kron phi_v,j)^H Rinv (phi_u,i kron phi_v,j) over the grid
-        nx, ny = self.phi_u.shape[0], self.phi_v.shape[0]
-        r = rinv.reshape(nx, ny, nx, ny).transpose(2, 0, 3, 1).reshape(nx * nx, ny * ny)
-        q = (self.outer_u @ r) @ self.outer_v.T
-        return q.reshape(-1)[self.cells, None, None]
+        # phi_v,j^H Q_i phi_v,j for the u blocks Q_i.  Rinv transposed over
+        # its v factor (a view) gives Q_i^T, which conj(P_v[j, y ny + y'])
+        # = P_v[j, y' ny + y] needs, with no copy beyond the u kernel's own
+        nx, ny = self.u.n_factor_rows, self.u.block_size
+        q = self.u.quad_blocks(rinv.reshape(nx, ny, nx, ny).transpose(0, 3, 2, 1))
+        return (q.reshape(self.u.n_blocks, -1) @ self.outer_v.T).reshape(-1)[self.cells, None, None]
 
     def gram(self, weights: np.ndarray) -> np.ndarray:
-        """A diag(weights) A^H for the flat dictionary A (n x n):
-        sum_c w_c (phi_u,i phi_u,i^H) kron (phi_v,j phi_v,j^H)."""
-        (nx, mu), (ny, mv) = self.phi_u.shape, self.phi_v.shape
+        """A diag(weights) A^H for the flat dictionary A (n x n): the u
+        operator's assembly with block i = sum_j w_ij phi_v,j phi_v,j^H.
+        The weight grid is complex: a real one against the complex P_v
+        leaves BLAS."""
+        (ny, mv), mu = self.phi_v.shape, self.u.n_blocks
         w = np.zeros(mu * mv, dtype=complex)
         w[self.cells] = weights
-        c4 = (self.outer_u.T @ (w.reshape(mu, mv) @ self.outer_v)).reshape(nx, nx, ny, ny)
-        return c4.transpose(0, 2, 1, 3).reshape(self.n_rows, self.n_rows)
+        return self.u.signal_cov((w.reshape(mu, mv) @ self.outer_v).reshape(mu, ny, ny))
 
 
 def _operator_for(dictionary, y: SnapshotSet):
@@ -358,11 +354,10 @@ def _operator_for(dictionary, y: SnapshotSet):
     pair = dictionary.pair if flat else dictionary
     if pair.phi_u.shape[0] != y.nx:
         raise ValueError(f"phi_u has {pair.phi_u.shape[0]} rows for an nx = {y.nx} array")
-    if not flat:
-        return _KronIdentityOperator(pair.phi_u, y.ny)
-    if pair.phi_v.shape[0] != y.ny:
+    if flat and pair.phi_v.shape[0] != y.ny:
         raise ValueError(f"phi_v has {pair.phi_v.shape[0]} rows for an ny = {y.ny} array")
-    return _GridOperator(pair.phi_u, pair.phi_v, dictionary.cells)
+    u = _KronIdentityOperator(pair.phi_u, y.ny)
+    return _GridOperator(u, pair.phi_v, dictionary.cells) if flat else u
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +465,12 @@ def _sandwich(scaled: np.ndarray, quad: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moments(op, m: Posterior) -> np.ndarray:
-    """Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i."""
-    rsr = (m.ry * (1.0 / m.data.n_snapshots)) @ m.ry.conj().T  # a complex * is cheaper than /
-    return _sandwich(m.scaled, op.quad_blocks(m.rinv - rsr))
+def _moments(post: Posterior) -> np.ndarray:
+    """Sigma_x^i + mu_i mu_i^H / L = Gamma_i - Gamma_i D_i^H (R - R S R) D_i Gamma_i
+    for the blocks of ``post.op``."""
+    ry = post.ry
+    rsr = (ry * (1.0 / post.data.n_snapshots)) @ ry.conj().T  # a complex * is cheaper than /
+    return _sandwich(post.scaled, post.op.quad_blocks(post.rinv - rsr))
 
 
 def e_step(y: SnapshotSet, state: HMsblState, dictionary) -> Posterior:
@@ -669,7 +666,7 @@ def run(y: SnapshotSet, dictionary, params: HMsblParams, on_iteration=None):
 
     for it in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        moments = _moments(cop, post)
+        moments = _moments(post)
         # for width-one blocks ``power`` is a view, so ``fro`` below sees the
         # dead moments zeroed
         power = moments[:, 0, 0].real if width == 1 else np.einsum("mkk->m", moments).real

@@ -2,12 +2,14 @@
 
 Everything here is written the obvious way: explicit loops, dense matrices,
 textbook Gaussian conditioning.  Nothing imports from the package's solver
-internals, so agreement is evidence rather than tautology.
+internals (only its public types), so agreement is evidence rather than
+tautology.
 """
 
 import numpy as np
 
 from hmsbl.metrics import MatchCountError, MatchReport, _assign
+from hmsbl.solver import HMsblParams
 
 
 def steering_loop(freq, n):
@@ -80,13 +82,18 @@ def dense_sigma_y(phi_u, ny, gamma, b_mats, lam):
 
 def dense_posterior(y_mat, phi_u, ny, gamma, b_mats, lam):
     """Gaussian conditioning on the dense model; returns (mu, per-block cov)."""
-    d = kron_identity_loop(phi_u, ny)
+    return dense_block_posterior(y_mat, kron_identity_loop(phi_u, ny), gamma, b_mats, lam)
+
+
+def dense_block_posterior(y_mat, d, gamma, b_mats, lam):
+    """``dense_posterior`` for any dense dictionary ``d`` whose columns form
+    blocks of the width of ``b_mats``."""
     sigma0 = block_diag_prior(gamma, b_mats)
     sigma_y = d @ sigma0 @ d.conj().T + lam * np.eye(d.shape[0])
     gain = sigma0 @ d.conj().T @ np.linalg.inv(sigma_y)
     mu = gain @ y_mat
     sigma_x = sigma0 - gain @ d @ sigma0
-    m, b = len(gamma), ny
+    m, b = b_mats.shape[:2]
     blocks = np.array([sigma_x[i * b:(i + 1) * b, i * b:(i + 1) * b] for i in range(m)])
     return mu, blocks
 
@@ -96,6 +103,63 @@ def dense_ml_cost(scm, phi_u, ny, gamma, b_mats, lam):
     sign, logdet = np.linalg.slogdet(sigma_y)
     assert sign.real > 0
     return float(logdet + np.trace(np.linalg.solve(sigma_y, scm)).real)
+
+
+def dense_em(y, dmat, b, params: HMsblParams):
+    """The paper's EM loop, literally, on the dense dictionary ``dmat``
+    (n x M b) of M blocks of width ``b``, for the snapshots ``y`` (a
+    ``SnapshotSet``) and ``params.max_iters`` iterations; ``cost_tol`` and
+    ``compress`` are not read.
+
+    Start: gamma_i = ||S||_F / ||D D^H||_F and B_i = I / sqrt(b), with
+    lambda ``params.lambda_value`` or 0.01 tr(S) / n.  Each iteration takes
+    the ``dense_block_posterior`` moments M_i = Sigma_x^i + mu_i mu_i^H / L
+    of the current prior (a block whose moment has no positive trace is
+    zeroed), sets Gamma_i = M_i and gamma_i = ||M_i||_F, updates lambda
+    densely in adaptive mode, and zeroes the blocks pruning drops.
+
+    Returns (costs, priors, lams): log det Sigma_y + tr(Sigma_y^-1 S), the
+    stacked Gamma_i and lambda at the start and after every iteration.
+    """
+    y_mat, n_snap = y.y, y.n_snapshots
+    n, m = dmat.shape[0], dmat.shape[1] // b
+    scm = y_mat @ y_mat.conj().T / n_snap
+    ones = np.ones(m)
+
+    def cost(prior, lam):
+        sigma_y = dmat @ block_diag_prior(ones, prior) @ dmat.conj().T + lam * np.eye(n)
+        sign, logdet = np.linalg.slogdet(sigma_y)
+        assert sign.real > 0
+        return float(logdet + np.trace(np.linalg.solve(sigma_y, scm)).real)
+
+    g0 = np.linalg.norm(scm, "fro") / np.linalg.norm(dmat @ dmat.conj().T, "fro")
+    prior = np.array([g0 * np.eye(b, dtype=complex) / np.sqrt(b) for _ in range(m)])
+    if params.lambda_mode == "fixed":
+        lam = float(params.lambda_value)
+    else:
+        lam = 0.01 * float(np.trace(scm).real) / n
+    costs, priors, lams = [cost(prior, lam)], [prior], [lam]
+    for _ in range(params.max_iters):
+        mu, sigma_blocks = dense_block_posterior(y_mat, dmat, ones, prior, lam)
+        mu_b = mu.reshape(m, b, -1)
+        moments = sigma_blocks + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
+        moments = 0.5 * (moments + moments.conj().swapaxes(-1, -2))
+        moments[np.einsum("mkk->m", moments).real <= 0] = 0.0
+        gamma = np.array([np.linalg.norm(mi, "fro") for mi in moments])
+        assert gamma.any()
+        if params.lambda_mode == "adaptive":
+            misfit = np.linalg.norm(y_mat - dmat @ mu, "fro") ** 2
+            g = dmat @ np.diag(np.repeat(gamma, b).astype(complex)) @ dmat.conj().T
+            penalty = lam * np.trace(np.linalg.solve(g + lam * np.eye(n), g)).real / n
+            floor = 1e-12 * np.linalg.norm(y_mat, "fro") ** 2 / (n_snap * n)
+            lam = float(max(misfit / (n * n_snap) + penalty, floor))
+        if params.prune_tol > 0:
+            moments[gamma < params.prune_tol * gamma.max()] = 0.0
+        prior = moments
+        costs.append(cost(prior, lam))
+        priors.append(prior)
+        lams.append(lam)
+    return costs, priors, lams
 
 
 def dense_flat_posterior(y_mat, dmat, gamma, lam):

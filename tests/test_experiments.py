@@ -163,6 +163,23 @@ def test_validate_grid_product_indices():
     assert any("u_indices" in e and "99" in e for e in errors)
 
 
+def test_validate_rejects_repeated_grid_product_indices():
+    # exp2 with u_indices [30, 30] would place its 10 sources as 5 coincident
+    # pairs; each repeated index is named once, with its field
+    with open(os.path.join(_REPO, "configs/exp2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["scene"]["generator"]["u_indices"] = [30, 30]
+    config, errors = validate_config(_dumps(cfg))
+    assert config is None
+    assert errors == ["scene.generator.u_indices: index 30 repeated"]
+    del cfg["allocation"]
+    cfg["scene"]["generator"].update(u_indices=[65, 30, 65], v_indices=[90, 10, 90, 10, 50, 90])
+    assert validate_config(_dumps(cfg))[1] == [
+        "scene.generator.u_indices: index 65 repeated",
+        "scene.generator.v_indices: index 10 repeated",
+        "scene.generator.v_indices: index 90 repeated"]
+
+
 def test_grid_product_boundary_point_validates_and_builds():
     # on an 11-point grid (points[8], points[9]) = (0.6000000000000001, 0.8)
     # lies on the unit circle up to rounding; the generator accepts it as an

@@ -24,6 +24,7 @@ from hmsbl.solver import (
 )
 from oracles import (
     block_diag_prior,
+    dense_em,
     dense_flat_cost,
     dense_flat_posterior,
     dense_ml_cost,
@@ -338,6 +339,13 @@ def _cplx(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _identity_grid_operator(phi, ny):
+    # the flat operator on Phi o I_ny = Phi o Phi_v with Phi_v = I_ny: every
+    # grid cell, M ny blocks of width one
+    u = solver._KronIdentityOperator(phi, ny)
+    return solver._GridOperator(u, np.eye(ny), np.arange(phi.shape[1] * ny))
+
+
 @pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (4, 3, 11), (1, 4, 6),
                                        (5, 1, 9), (1, 1, 4)])
 @pytest.mark.parametrize("kind", ["kron", "column"])
@@ -351,7 +359,7 @@ def test_operator_kernels_match_dense_products(nx, ny, m, kind):
     if kind == "kron":
         op, b = solver._KronIdentityOperator(phi, ny), ny
     else:
-        op, b = solver._GridOperator(phi, np.eye(ny), np.arange(m * ny)), 1
+        op, b = _identity_grid_operator(phi, ny), 1
     n_blocks, n_snap = d.shape[1] // b, 3
 
     state = _random_state(rng, n_blocks, b)
@@ -387,7 +395,7 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     if kind == "kron":
         op, b, a = solver._KronIdentityOperator(phi, ny), ny, phi
     else:
-        op, b, a = solver._GridOperator(phi, np.eye(ny), np.arange(m * ny)), 1, d
+        op, b, a = _identity_grid_operator(phi, ny), 1, d
     n_blocks = d.shape[1] // b
     state = _random_state(rng, n_blocks, b, lam=0.3)
     keep = rng.uniform(size=n_blocks) < 0.6  # partially pruned
@@ -417,7 +425,7 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
             cost_o = dense_flat_cost(sample_covariance(y), d, gamma, 0.3)
         mu_b = mu_o.reshape(n_blocks, b, n_snap)
         moments_o = sig_o + mu_b @ mu_b.conj().swapaxes(-1, -2) / n_snap
-        assert np.max(np.abs(cop.scatter(solver._moments(cop, post)) - moments_o)) < 1e-10
+        assert np.max(np.abs(cop.scatter(solver._moments(post)) - moments_o)) < 1e-10
         assert post.cost == pytest.approx(cost_o, rel=1e-10)
 
         misfit_o = np.linalg.norm(y.y - d @ mu_o, "fro") ** 2
@@ -442,7 +450,7 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     if kind == "kron":
         op, b = solver._KronIdentityOperator(phi, ny), ny
     else:
-        op, b = solver._GridOperator(phi, np.eye(ny), np.arange(m * ny)), 1
+        op, b = _identity_grid_operator(phi, ny), 1
     n_blocks, n = d.shape[1] // b, nx * ny
     state = _random_state(rng, n_blocks, b, lam=0.2)
     keep = rng.uniform(size=n_blocks) < 0.6
@@ -561,13 +569,16 @@ def test_flat_run_never_forms_the_dictionary():
 
 
 def test_grid_operator_tables_are_small_at_16x16():
-    # 16 x 16 with Mu = Mv = 200: the flat operator holds two outer tables
-    # and the cell index, not the 121 MiB dictionary
+    # 16 x 16 with Mu = Mv = 200: the flat operator and the u operator it
+    # wraps hold the factors, one outer table per axis and the cell index,
+    # not the 121 MiB dictionary
     pair = dictionary_pair(UraConfig(16, 16), uniform_grid(200), uniform_grid(200))
     kd = kron_dictionary(pair)
     y = SnapshotSet(y=np.zeros((256, 1), dtype=complex), nx=16, ny=16, n_snapshots=1)
     op = solver._operator_for(kd, y)
-    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+    assert isinstance(op.u, solver._KronIdentityOperator)
+    held = sum(v.nbytes for o in (op, op.u) for v in vars(o).values()
+               if isinstance(v, np.ndarray))
     mib = 1 << 20
     assert held < 2 * mib
     assert kd.size * 256 * np.dtype(complex).itemsize > 120 * mib
@@ -600,7 +611,8 @@ def test_marginal_raises_on_an_indefinite_or_non_finite_sigma_y(case):
 @pytest.mark.parametrize("flat", [False, True])
 def test_adaptive_run_builds_one_operator(monkeypatch, flat):
     # run() builds its operator once and hands it to init_state and
-    # update_lambda, which then build none of their own
+    # update_lambda, which then build none of their own; the flat operator
+    # builds its one u operator with it
     rng = np.random.default_rng(26)
     y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
     dictionary = kron_dictionary(pair, prune=True) if flat else pair
@@ -617,7 +629,8 @@ def test_adaptive_run_builds_one_operator(monkeypatch, flat):
     params = HMsblParams(max_iters=8, prune_tol=0.1, lambda_mode="adaptive", cost_tol=0.0)
     _, _, diag = run(y, dictionary, params)
     assert diag.n_iters == 8
-    assert built == ["_GridOperator" if flat else "_KronIdentityOperator"]
+    assert built == (["_KronIdentityOperator", "_GridOperator"] if flat
+                     else ["_KronIdentityOperator"])
     # and restricts it to the blocks left once per change of the active set,
     # the last iteration's included
     counts = [init_state(y, dictionary, params).n_blocks] + diag.active_counts
@@ -630,17 +643,19 @@ def test_run_kernels_see_only_the_active_blocks(monkeypatch, flat):
     # iteration t forms its moments (quad_blocks) on the blocks active when
     # it starts and assembles Sigma_y (signal_cov) on the blocks it leaves
     # active; the only other kernel call is the assembly before the loop on
-    # every block.  The posteriors run() hands out still cover every block
+    # every block.  The posteriors run() hands out still cover every block.
+    # The kernels counted are those of the operator run() holds, not of the
+    # u operator inside the flat one
     rng = np.random.default_rng(33)
     y, pair = _random_instance(rng, nx=3, ny=2, mu=6, n_snap=9)
     dictionary = kron_dictionary(pair, prune=True) if flat else pair
     calls = []
-    for cls in (solver._KronIdentityOperator, solver._GridOperator):
-        for name in ("signal_cov", "quad_blocks"):
-            def counting(self, arg, _kernel=getattr(cls, name), _name=name):
-                calls.append((_name, self.n_blocks))
-                return _kernel(self, arg)
-            monkeypatch.setattr(cls, name, counting)
+    cls = solver._GridOperator if flat else solver._KronIdentityOperator
+    for name in ("signal_cov", "quad_blocks"):
+        def counting(self, arg, _kernel=getattr(cls, name), _name=name):
+            calls.append((_name, self.n_blocks))
+            return _kernel(self, arg)
+        monkeypatch.setattr(cls, name, counting)
     n_all = init_state(y, dictionary, HMsblParams()).n_blocks
     shapes = []
 
@@ -807,6 +822,45 @@ def test_run_cost_monotone():
         assert np.all(steps <= tol), f"trial {trial}: max increase {steps.max()}"
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 2), (2, 4), (4, 1), (3, 3)])
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("prune_tol", [0.0, 2e-2])
+@pytest.mark.parametrize("lambda_mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize("compress, wide", [(False, False), (True, False),
+                                            (False, True), (True, True)])
+def test_run_follows_the_dense_literal_em(nx, ny, flat, prune_tol, lambda_mode, compress,
+                                          wide):
+    # run() against the paper's loop on the dictionary written out as a
+    # matrix, iteration by iteration: the cost, every Gamma_i = gamma_i B_i
+    # (zero on pruned blocks) and lambda; ``wide`` takes more snapshots than
+    # rows, where compression acts
+    rng = np.random.default_rng(70 + 10 * nx + ny + 100 * wide)
+    n_snap = 2 * nx * ny + 3 if wide else 3
+    y, pair = _random_instance(rng, nx=nx, ny=ny, mu=7, n_snap=n_snap)
+    if flat:
+        dictionary = kron_dictionary(pair, prune=True)
+        dmat, b = flat_dictionary_loop(dictionary.column_labels, nx, ny), 1
+    else:
+        dictionary, dmat, b = pair, kron_identity_loop(pair.phi_u, ny), ny
+    params = HMsblParams(max_iters=30, prune_tol=prune_tol, cost_tol=0.0,
+                         lambda_mode=lambda_mode, lambda_value=0.03, compress=compress)
+    seen = []
+
+    def observe(it, state, post):
+        seen.append((state.gamma[:, None, None] * state.b_mats, state.noise_var))
+
+    state, post, diag = run(y, dictionary, params, on_iteration=observe)
+    costs, priors, lams = dense_em(y, dmat, b, params)
+    assert diag.n_iters == 30 and len(seen) == 30
+    for got, want in zip(diag.cost_trace, costs):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    for (prior, lam), want_prior, want_lam in zip(seen, priors[1:], lams[1:]):
+        assert np.max(np.abs(prior - want_prior)) <= 1e-9 * np.max(np.abs(want_prior))
+        np.testing.assert_array_equal(prior == 0, want_prior == 0)  # the same blocks pruned
+        assert lam == pytest.approx(want_lam, rel=1e-9)
+    np.testing.assert_array_equal(state.gamma[:, None, None] * state.b_mats, seen[-1][0])
+
+
 def test_run_gamma_b_product_equals_moment():
     # after each iteration gamma_i B_i must equal the posterior moment block
     # of the state before it, which the observer got with that state
@@ -834,11 +888,11 @@ def _recording_moments(monkeypatch, edit=None):
     seen = []
     moments = solver._moments
 
-    def wrapped(op, marginal):
-        m = moments(op, marginal)
+    def wrapped(post):
+        m = moments(post)
         if edit is not None:
             m = edit(m.copy())
-        seen.append(op.scatter(m).copy())
+        seen.append(post.op.scatter(m).copy())
         return m
 
     monkeypatch.setattr(solver, "_moments", wrapped)
@@ -1048,7 +1102,7 @@ def test_width_one_moments_equal_the_stacked_form(case):
     edited = solver.Posterior(op=op, data=y, scaled=scaled, rinv=post.rinv, ry=post.ry,
                               cost=post.cost, lam=post.lam)
     for posterior in (post, edited):
-        got = solver._moments(op, posterior)
+        got = solver._moments(posterior)
         want = _stacked_sandwich(posterior.scaled, q_moment)
         np.testing.assert_array_equal(got, want)
         assert got.dtype == want.dtype and got.shape == (m, 1, 1)
