@@ -24,92 +24,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
+from . import dictionary, experiments, metrics, pairing, signal_model, solver
 from ._version import __version__
-from .signal_model import (
-    Scene,
-    SnapshotSet,
-    Source,
-    UraConfig,
-    angles_to_uv,
-    noise_power,
-    sample_covariance,
-    synthesize_snapshots,
-)
-from .dictionary import (
-    DictionaryPair,
-    Grid1D,
-    KronDictionary,
-    dictionary_pair,
-    effective_dictionary,
-    kron_dictionary,
-    kron_factorization_check,
-    steering,
-    steering_matrix,
-    uniform_grid,
-)
-from .solver import (
-    DegenerateInputError,
-    HMsblParams,
-    HMsblState,
-    Posterior,
-    RunDiagnostics,
-    SolverError,
-    compress_snapshots,
-    e_step,
-    init_state,
-    ml_cost,
-    prune,
-    run,
-    update_b,
-    update_gamma,
-    update_lambda,
-)
-from .msbl import msbl_estimates
-from .pairing import (
-    PeakSelection,
-    RootMusicEstimate,
-    pair_estimates,
-    root_music_v,
-    select_peaks,
-)
-from .metrics import MatchCountError, MatchReport, match_and_rmse
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    ResultRecord,
-    emit_plot_data,
-    load_config,
-    bench_and_save,
-    run_and_save,
-    run_bench,
-    run_experiment,
-    scene_for_trial,
-    validate_config,
-)
+from .signal_model import *  # noqa: F401,F403
+from .dictionary import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .pairing import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # signal model
-    "UraConfig", "Source", "Scene", "SnapshotSet",
-    "angles_to_uv", "noise_power", "synthesize_snapshots", "sample_covariance",
-    # dictionaries
-    "Grid1D", "DictionaryPair", "KronDictionary",
-    "uniform_grid", "steering", "steering_matrix", "dictionary_pair",
-    "effective_dictionary", "kron_dictionary", "kron_factorization_check",
-    # block solver
-    "HMsblParams", "HMsblState", "Posterior", "RunDiagnostics",
-    "SolverError", "DegenerateInputError",
-    "init_state", "e_step", "update_gamma", "update_b", "update_lambda",
-    "ml_cost", "prune", "compress_snapshots", "run",
-    # flat baseline
-    "msbl_estimates",
-    # v extraction
-    "PeakSelection", "RootMusicEstimate",
-    "select_peaks", "root_music_v", "pair_estimates",
-    # metrics
-    "MatchReport", "MatchCountError", "match_and_rmse",
-    # experiments
-    "ExperimentConfig", "ConfigError", "ResultRecord",
-    "validate_config", "load_config", "scene_for_trial",
-    "run_experiment", "run_bench", "run_and_save", "bench_and_save", "emit_plot_data",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"] + [name for module in (signal_model, dictionary, solver, pairing,
+                                                  metrics, experiments)
+                             for name in module.__all__]

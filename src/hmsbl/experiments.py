@@ -33,8 +33,7 @@ from . import solver
 from ._version import __version__
 from .dictionary import Grid1D, uniform_grid, dictionary_pair, kron_dictionary
 from .metrics import MatchCountError, match_and_rmse
-from .msbl import msbl_estimates
-from .pairing import pair_estimates, select_peaks
+from .pairing import msbl_estimates, pair_estimates, select_peaks
 from .signal_model import Scene, Source, UraConfig, in_unit_disk, noise_power, synthesize_snapshots
 
 __all__ = [
@@ -441,17 +440,18 @@ def _hmsbl_allocation(state, grid_u: Grid1D, config: ExperimentConfig, k: int):
     """Allocation of v counts to blocks, as (block, count) pairs.  Explicit
     config counts go to the strongest peaks in order; otherwise one source
     per peak, falling back to spreading the counts evenly over the strongest
-    active blocks (gamma > 0)."""
+    active blocks."""
     if config.allocation is not None:
         sel = select_peaks(state.gamma, grid_u, len(config.allocation))
         return list(zip(sel.indices, config.allocation))
+    active = state.active
     sel = select_peaks(state.gamma, grid_u, min(k, grid_u.size))
-    idx = [i for i in sel.indices if state.gamma[i] > 0]
+    idx = [i for i in sel.indices if active[i]]
     if len(idx) >= k:
         return [(i, 1) for i in idx[:k]]
     # fewer usable peaks than sources: spread the counts evenly over the
     # active blocks, stronger ones first; a block holds at most ny - 1
-    n = int(np.count_nonzero(state.gamma > 0))
+    n = int(np.count_nonzero(active))
     order = np.argsort(-state.gamma, kind="stable")[:n]
     if k > n * (state.block_size - 1):
         raise solver.SolverError(f"cannot allocate {k} sources across {n} active blocks")

@@ -1,11 +1,15 @@
-"""Gridless v recovery from learned block correlations.
+"""Estimate readers: the (u, v) estimates of a converged EM state.
 
-After the block solver converges, block i of the state describes the
-sources sharing u-grid point i: gamma_i carries their combined power and
-B_i the correlation across the ny-element column array, i.e. a noisy sum
-of outer products a(v) a(v)^H of length-ny steering vectors.  Polynomial
-rooting of the noise subspace of B_i therefore recovers the v components
-without any v grid, and pairing with the block's u point is automatic.
+For H-MSBL, gridless v recovery from learned block correlations.  After
+the block solver converges, block i of the state describes the sources
+sharing u-grid point i: gamma_i carries their combined power and B_i the
+correlation across the ny-element column array, i.e. a noisy sum of outer
+products a(v) a(v)^H of length-ny steering vectors.  Polynomial rooting of
+the noise subspace of B_i therefore recovers the v components without any
+v grid, and pairing with the block's u point is automatic.
+
+For the flat M-SBL baseline, whose columns are the (u, v) grid cells
+themselves, the estimates are the labels of the k strongest active cells.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dictionary import Grid1D
+from .solver import HMsblState
 
 __all__ = [
     "PeakSelection",
@@ -21,6 +26,7 @@ __all__ = [
     "select_peaks",
     "root_music_v",
     "pair_estimates",
+    "msbl_estimates",
 ]
 
 # eigen-gap ratio below which a rooting result is marked unreliable
@@ -208,3 +214,20 @@ def pair_estimates(state, grid_u: Grid1D, allocation):
         provenance.append({"block": block, "eigen_gap": est.eigen_gap,
                            "low_confidence": est.low_confidence})
     return np.array(pairs, dtype=float).reshape(-1, 2), tuple(provenance)
+
+
+def msbl_estimates(state: HMsblState, column_labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, 2) array of the (u, v) labels of the k largest active powers,
+    strongest first, ties to the lower column index; ``column_labels``
+    holds one (u, v) row per column."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    idx = np.flatnonzero(state.active)
+    if idx.size < k:
+        raise ValueError(f"only {idx.size} active grid points for k = {k}")
+    neg = -state.gamma[idx]
+    if k < idx.size:  # sort only the powers at or above the k-th largest, ties included
+        top = neg <= np.partition(neg, k - 1)[k - 1]
+        idx, neg = idx[top], neg[top]
+    order = idx[np.argsort(neg, kind="stable")][:k]
+    return column_labels[order]

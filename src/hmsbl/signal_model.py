@@ -25,7 +25,6 @@ __all__ = [
     "Scene",
     "SnapshotSet",
     "angles_to_uv",
-    "in_unit_disk",
     "noise_power",
     "synthesize_snapshots",
     "sample_covariance",

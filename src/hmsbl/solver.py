@@ -67,6 +67,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -110,13 +111,14 @@ class HMsblParams:
     threshold relative to the largest block power; zero disables pruning.
     ``compress`` replaces Y by a rank-preserving square root of Y Y^H when
     snapshots outnumber rows, leaving every 1/L average unchanged.
-    ``b_loading`` is read only by the reference ``update_gamma``; ``run``'s
-    result does not depend on it, and the config schema does not set it.
+    The class constant ``b_loading`` is read only by the reference
+    ``update_gamma``; ``run``'s result does not depend on it.
     """
+
+    b_loading: ClassVar[float] = 1e-10
 
     max_iters: int = 500
     prune_tol: float = 1e-3
-    b_loading: float = 1e-10
     cost_tol: float = 0.0
     lambda_mode: str = "fixed"
     lambda_value: float = 1e-2
@@ -128,8 +130,6 @@ class HMsblParams:
         # ``not x >= 0`` also refuses NaN
         if not self.prune_tol >= 0:
             raise ValueError(f"prune_tol must be >= 0, got {self.prune_tol!r}")
-        if not self.b_loading >= 0:
-            raise ValueError(f"b_loading must be >= 0, got {self.b_loading!r}")
         if not self.cost_tol >= 0:
             raise ValueError(f"cost_tol must be >= 0, got {self.cost_tol!r}")
         if self.lambda_mode not in ("fixed", "adaptive"):

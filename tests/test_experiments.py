@@ -35,7 +35,7 @@ from hmsbl.experiments import (
     validate_config,
 )
 from hmsbl.signal_model import noise_power
-from hmsbl.solver import HMsblParams, SolverError, run
+from hmsbl.solver import HMsblParams, HMsblState, SolverError, run
 
 
 def _base_config(**over):
@@ -328,7 +328,8 @@ def test_hmsbl_allocation_stacks_counts_on_the_strongest_blocks():
     # powers [1, 3, 0, 2, 0, 0] (0: pruned) have two usable peaks, so more
     # sources than that spread over the active blocks 1, 3, 0 (descending
     # gamma), at most ny - 1 = 3 each
-    state = SimpleNamespace(gamma=np.array([1.0, 3.0, 0.0, 2.0, 0.0, 0.0]), block_size=4)
+    state = HMsblState(gamma=np.array([1.0, 3.0, 0.0, 2.0, 0.0, 0.0]),
+                       b_mats=np.zeros((6, 4, 4), dtype=complex), noise_var=0.1)
     grid = uniform_grid(6)
     config = SimpleNamespace(allocation=None)
 

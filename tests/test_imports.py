@@ -5,13 +5,18 @@ Validating configs and re-emitting plots from a record are the package's
 fast paths; they import hmsbl and nothing that solves.  The check runs in
 a fresh interpreter, whose ``sys.modules`` holds only what that work
 loaded.
+
+The top-level namespace is each module's ``__all__``, re-exported: the
+same objects under the same names, and no others.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
+import hmsbl
 from hmsbl.experiments import ResultRecord
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,3 +70,38 @@ def test_validate_and_emit_plots_never_load_scipy(tmp_path):
     assert "scipy.linalg" in seen["after"]
     assert "scipy.optimize" not in seen["after"]
     assert sorted(os.listdir(tmp_path / "plots")) == ["convergence.csv", "scatter.csv", "timing.csv"]
+
+
+# the public names, by the module that defines them
+_PUBLIC = {
+    "_version": ["__version__"],
+    "signal_model": ["UraConfig", "Source", "Scene", "SnapshotSet", "angles_to_uv", "noise_power",
+                     "synthesize_snapshots", "sample_covariance"],
+    "dictionary": ["Grid1D", "DictionaryPair", "KronDictionary", "uniform_grid", "steering",
+                   "steering_matrix", "dictionary_pair", "effective_dictionary", "kron_dictionary",
+                   "kron_factorization_check"],
+    "solver": ["SolverError", "DegenerateInputError", "HMsblParams", "HMsblState", "Posterior",
+               "RunDiagnostics", "init_state", "e_step", "update_gamma", "update_b",
+               "update_lambda", "ml_cost", "prune", "compress_snapshots", "run"],
+    "pairing": ["PeakSelection", "RootMusicEstimate", "select_peaks", "root_music_v",
+                "pair_estimates", "msbl_estimates"],
+    "metrics": ["MatchReport", "MatchCountError", "match_and_rmse"],
+    "experiments": ["ExperimentConfig", "ConfigError", "ResultRecord", "validate_config",
+                    "load_config", "scene_for_trial", "run_experiment", "run_bench",
+                    "run_and_save", "bench_and_save", "emit_plot_data"],
+}
+
+
+def test_top_level_names_are_the_modules_public_objects():
+    pinned = sorted(name for names in _PUBLIC.values() for name in names)
+    assert len(pinned) == 54
+    assert sorted(hmsbl.__all__) == pinned
+    public = {name for name in vars(hmsbl) if not name.startswith("_")}
+    modules = {name for name, obj in vars(hmsbl).items() if type(obj) is type(hmsbl)}
+    assert public - modules == set(pinned) - {"__version__"}  # the star imports bring no more
+    for module_name, names in _PUBLIC.items():
+        module = importlib.import_module(f"hmsbl.{module_name}")
+        for name in names:
+            obj = getattr(hmsbl, name)
+            assert obj is getattr(module, name), name
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name

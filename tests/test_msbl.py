@@ -3,7 +3,7 @@ import pytest
 
 from hmsbl.dictionary import (DictionaryPair, Grid1D, KronDictionary, dictionary_pair,
                               kron_dictionary, uniform_grid)
-from hmsbl.msbl import msbl_estimates
+from hmsbl.pairing import msbl_estimates
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, synthesize_snapshots
 from hmsbl.solver import HMsblParams, HMsblState, run
 from oracles import msbl_gamma_star_scalar

@@ -1,10 +1,12 @@
+import dataclasses
+import re
 import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hmsbl.dictionary import Grid1D, dictionary_pair, kron_dictionary, uniform_grid
+from hmsbl.dictionary import Grid1D, KronDictionary, dictionary_pair, kron_dictionary, uniform_grid
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, noise_power, sample_covariance, synthesize_snapshots
 from hmsbl import solver
 from hmsbl.solver import (
@@ -1222,7 +1224,7 @@ def test_run_holds_one_restriction_of_the_operator_at_a_time(monkeypatch, flat):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("prune_tol", float("nan")), ("cost_tol", float("nan")), ("b_loading", float("nan")),
+    ("prune_tol", float("nan")), ("cost_tol", float("nan")),
     ("lambda_value", float("inf")), ("lambda_value", float("nan")),
     ("max_iters", 2.5), ("max_iters", "3"), ("max_iters", -1),
 ])
@@ -1233,6 +1235,48 @@ def test_params_refuse_a_value_a_run_cannot_use(field, value):
         HMsblParams(**{field: value})
     with pytest.raises(ValueError, match=field):
         HMsblParams(lambda_mode="adaptive", **{field: value})
+
+
+# (exception, message, call on an instance's snapshots, pair and start state)
+_GUARDS = {
+    "unknown lambda_mode": (ValueError, "unknown lambda_mode 'bogus'",
+                            lambda y, pair, state: HMsblParams(lambda_mode="bogus")),
+    "fixed lambda_value 0": (ValueError, "fixed lambda_value must be > 0",
+                             lambda y, pair, state: HMsblParams(lambda_value=0.0)),
+    "fixed lambda_value < 0": (ValueError, "fixed lambda_value must be > 0",
+                               lambda y, pair, state: HMsblParams(lambda_value=-1.0)),
+    "matrix dictionary": (TypeError, "unsupported dictionary type ndarray",
+                          lambda y, pair, state: init_state(y, pair.phi_u, HMsblParams())),
+    "no columns": (DegenerateInputError, "dictionary has no columns",
+                   lambda y, pair, state: init_state(y, KronDictionary(pair, np.zeros(0, dtype=int)),
+                                                     HMsblParams())),
+    "e_step, noise 0": (ValueError, "noise variance must be > 0",
+                        lambda y, pair, state: e_step(y, dataclasses.replace(state, noise_var=0.0), pair)),
+    "e_step, none active": (SolverError, "no active blocks left",
+                            lambda y, pair, state: e_step(y, _none_active(state), pair)),
+    "update_b, zero moment": (SolverError, "zero posterior moment on an active block",
+                              lambda y, pair, state: update_b(
+                                  SimpleNamespace(mu=np.zeros((10, 7), dtype=complex),
+                                                  sigma_blocks=np.zeros((5, 2, 2), dtype=complex)),
+                                  state, 7)),
+    "prune, none active": (SolverError, "no active blocks to prune",
+                           lambda y, pair, state: prune(_none_active(state), HMsblParams())),
+}
+
+
+def _none_active(state):
+    return dataclasses.replace(state, gamma=np.zeros_like(state.gamma))
+
+
+@pytest.mark.parametrize("case", list(_GUARDS))
+def test_guards_refuse_an_input_they_cannot_use(case):
+    # each guard's own message, on an instance where it is the first to trip
+    rng = np.random.default_rng(45)
+    y, pair = _random_instance(rng)  # nx = 3, ny = 2, Mu = 5, L = 7
+    state = init_state(y, pair, HMsblParams())
+    exc, message, call = _GUARDS[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call(y, pair, state)
 
 
 @pytest.mark.parametrize("flat", [False, True])
