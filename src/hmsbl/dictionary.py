@@ -77,28 +77,39 @@ def steering_matrix(grid: Grid1D, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DictionaryPair:
-    """1-D steering dictionaries Phi_u (nx x mu) and Phi_v (ny x mv)."""
+    """The 1-D steering dictionaries of an nx x ny array over two grids:
+    Phi_u = ``steering_matrix(grid_u, nx)`` (nx x mu) and
+    Phi_v = ``steering_matrix(grid_v, ny)`` (ny x mv).
 
-    phi_u: np.ndarray
-    phi_v: np.ndarray
+    A pair is its grids and row counts; ``phi_u`` and ``phi_v`` are derived
+    from them on first read.  So every factor is a steering matrix, which
+    the solver's kernels rely on: they work from the grid points alone.
+    """
+
     grid_u: Grid1D
     grid_v: Grid1D
+    nx: int
+    ny: int
 
     def __post_init__(self):
-        if self.phi_u.shape[1] != self.grid_u.size:
-            raise ValueError("phi_u columns must match grid_u size")
-        if self.phi_v.shape[1] != self.grid_v.size:
-            raise ValueError("phi_v columns must match grid_v size")
+        for name in ("nx", "ny"):
+            rows = getattr(self, name)
+            if int(rows) != rows or rows < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {rows!r}")
+            object.__setattr__(self, name, int(rows))
+
+    @cached_property
+    def phi_u(self) -> np.ndarray:
+        return steering_matrix(self.grid_u, self.nx)
+
+    @cached_property
+    def phi_v(self) -> np.ndarray:
+        return steering_matrix(self.grid_v, self.ny)
 
 
 def dictionary_pair(config: UraConfig, grid_u: Grid1D, grid_v: Grid1D) -> DictionaryPair:
-    """Build the steering pair for an array geometry and two grids."""
-    return DictionaryPair(
-        phi_u=steering_matrix(grid_u, config.nx),
-        phi_v=steering_matrix(grid_v, config.ny),
-        grid_u=grid_u,
-        grid_v=grid_v,
-    )
+    """The steering pair of an array geometry over two grids."""
+    return DictionaryPair(grid_u=grid_u, grid_v=grid_v, nx=config.nx, ny=config.ny)
 
 
 def effective_dictionary(phi_u: np.ndarray, ny: int) -> np.ndarray:

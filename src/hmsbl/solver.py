@@ -14,15 +14,22 @@ the marginal covariance blockwise as
 
     Sigma_y = sum_i gamma_i (phi_i phi_i^H) kron B_i + lam I
 
-which is one GEMM of the cached table of outer products phi_i phi_i^H
-(M x nx^2) against the stacked gamma_i B_i (M x ny^2).  The per-block
-quadratic forms D_i^H W D_i are one GEMM through the same table.  The flat
-backend is the block backend over the whole u grid followed by one GEMM
-over the v grid, since Phi_u kron Phi_v = (Phi_u kron I_ny)(I_Mu kron Phi_v):
-Sigma_y takes gamma_i B_i = sum_j w_ij phi_v,j phi_v,j^H for the weights w
-of its cells, formed through the v table (Mv x ny^2), the quadratic forms
-are the block backend's read through the same table, and no (n x Mu Mv)
-matrix is formed.
+Every phi_i is a steering vector, so (phi_i phi_i^H)[x, x'] =
+exp(j pi u_i (x - x')) depends on the lag x - x' alone and Sigma_y is
+block-Toeplitz, with (x, x') block T[x - x'] + lam delta for
+
+    T[d] = sum_i exp(j pi u_i d) gamma_i B_i   (2nx - 1 lags)
+
+one GEMM of the cached lag table E (M x (2nx - 1)) against the stacked
+gamma_i B_i, read out by one gather.  The per-block quadratic forms
+D_i^H W D_i = sum_d exp(-j pi u_i d) Wbar[d], for the sums Wbar[d] of the
+blocks of W on lag d, are one GEMM through E as well.  The flat backend
+adds a lag table over the v grid, since Phi_u kron Phi_v =
+(Phi_u kron I_ny)(I_Mu kron Phi_v): its Sigma_y is two-level Toeplitz,
+E_u^T W E_v for the Mu x Mv grid of weights W on its cells, and its
+quadratic forms are E_u Wbar E_v^T read at its cells; no (n x Mu Mv)
+matrix is formed.  The operators take grid points and row counts, not a
+dictionary matrix: these kernels hold for steering factors alone.
 
 An EM iteration never forms the posterior.  With R = Sigma_y^-1, the
 sample covariance S = Y Y^H / L and Gamma_i = gamma_i B_i, the posterior
@@ -248,72 +255,126 @@ class _BlockOperator:
         return out
 
 
-def _outer_table(phi: np.ndarray) -> np.ndarray:
-    """P[m, x n + y] = phi[x, m] conj(phi[y, m]) for the n x M ``phi`` (M x n^2)."""
-    return (phi.T[:, :, None] * phi.T.conj()[:, None, :]).reshape(phi.shape[1], -1)
+def _lag_table(points: np.ndarray, n: int) -> np.ndarray:
+    """E[m, d + n - 1] = exp(j pi u_m d) for d = -(n - 1) .. n - 1 (M x (2n - 1)).
+    Its last n columns are the steering matrix of ``points``, transposed."""
+    return np.exp(1j * np.pi * np.outer(points, np.arange(1 - n, n)))
+
+
+def _lag_index(n: int) -> np.ndarray:
+    """lag[x, x'] = x - x' + n - 1 (n x n): the column of a lag table that
+    holds phi[x] conj(phi[x']) for each steering vector phi."""
+    return np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
+
+
+def _toeplitz_index(n: int, inner: np.ndarray, width: int) -> np.ndarray:
+    """Flat index into a ((2n - 1) x ``width``) lag table t of the block
+    Toeplitz matrix whose (x, x') block is t[x - x' + n - 1, inner]: an
+    (n b x n b) index for the b x b ``inner``."""
+    b = inner.shape[0]
+    return (_lag_index(n)[:, None, :, None] * width + inner[None, :, None, :]).reshape(n * b, n * b)
+
+
+def _diagonal_sum(n: int) -> np.ndarray:
+    """S[d, x n + x'] = 1 where x - x' + n - 1 = d ((2n - 1) x n^2, complex so
+    that its products stay in BLAS): S r sums the rows of r over each lag."""
+    return (_lag_index(n).reshape(1, -1) == np.arange(2 * n - 1)[:, None]).astype(complex)
 
 
 class _KronIdentityOperator(_BlockOperator):
-    """Phi kron I_b applied blockwise; nothing of size (n x M b) is formed.
+    """Phi kron I_b applied blockwise for the steering matrix Phi of the grid
+    ``points`` (nx x M); nothing of size (n x M b) is formed.
 
-    Every kernel is one GEMM over the block index.  Sigma_y assembly and the
-    per-block quadratic forms both contract through the outer-product table
-    P = ``_outer_table(phi)`` (M x nx^2) which, like phi^H, is built once
-    per operator:
+    Every Phi is Vandermonde, so (phi_m phi_m^H)[x, x'] = E[m, x - x' + nx - 1]
+    for the lag table E (M x (2nx - 1)), the one per-block table, built once
+    per operator; phi^H is its last nx columns, conjugated.  Hence
 
-        signal_cov:  P^T S  with S[m, (k, l)] = gamma_m B_m[k, l]
-        quad_blocks: P R    with R[(y, x), (k, l)] = Rinv[x b + k, y b + l]
+        signal_cov:  T = E^T G,  Sigma[(x, k), (x', l)] = T[x - x' + nx - 1, (k, l)]
+        gram:        t = E^T w,  A diag(w) A^H [x, x'] = t[x - x' + nx - 1]
 
-    using conj(P[m, x nx + y]) = P[m, y nx + x]; each is framed by a
-    permutation of the four (x, y, k, l) axes.  ``gram``'s A is phi.
+    for the stacked G[m, (k, l)] = gamma_m B_m[k, l], each read out by one
+    gather through a cached Toeplitz index, and
+
+        quad_blocks: Q = P R = E (S R),   R[(x', x), (k, l)] = Rinv[x b + k, x' b + l]
+
+    where P = E[:, lag] (M x nx^2) is E gathered at the lag of each (x', x)
+    and S ((2nx - 1) x nx^2) sums R's rows over each lag.  ``quad_blocks``
+    takes whichever grouping costs fewer multiply-adds, with the lag form
+    charged twice for its extra GEMM and S's zeros: E (S R) when
+    M nx^2 >= 2 (2nx - 1)(nx^2 + M), which holds for wide active sets
+    (8 x 8 with 200 blocks) and not for narrow ones or small arrays (4 x 4
+    with 60).  ``gram``'s A is phi.
     """
 
-    _per_block = (("factor", 1), ("outer", 0))
+    _per_block = (("lags", 0),)
 
-    def __init__(self, phi: np.ndarray, block_size: int):
-        self.factor = np.asarray(phi, dtype=complex)
-        self.block_size = int(block_size)
-        self.n_factor_rows, self.n_blocks = self.factor.shape
+    def __init__(self, points: np.ndarray, n_factor_rows: int, block_size: int):
+        self.n_factor_rows, self.block_size = int(n_factor_rows), int(block_size)
+        self.lags = _lag_table(np.asarray(points, dtype=float), self.n_factor_rows)
+        self.n_blocks = self.lags.shape[0]
         self.n_rows = self.n_factor_rows * self.block_size
-        self.outer = _outer_table(self.factor)
+        self.lag_index = _lag_index(self.n_factor_rows).ravel()
+        self.diagonal_sum = _diagonal_sum(self.n_factor_rows)
+
+    @cached_property
+    def cov_index(self) -> np.ndarray:
+        b = self.block_size
+        return _toeplitz_index(self.n_factor_rows, np.arange(b * b).reshape(b, b), b * b)
 
     def signal_cov(self, scaled: np.ndarray) -> np.ndarray:
         # sum_i (phi_i phi_i^H) kron (gamma_i B_i)
-        nx, b = self.n_factor_rows, self.block_size
-        c4 = (self.outer.T @ scaled.reshape(self.n_blocks, b * b)).reshape(nx, nx, b, b)
-        return c4.transpose(0, 2, 1, 3).reshape(self.n_rows, self.n_rows)
+        b = self.block_size
+        t = self.lags.T @ scaled.reshape(self.n_blocks, b * b)
+        return t.ravel()[self.cov_index]
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        w2 = w.reshape(self.n_factor_rows, -1)
-        return (self.factor.conj().T @ w2).reshape(self.n_blocks, self.block_size, -1)
+        nx = self.n_factor_rows
+        w2 = w.reshape(nx, -1)
+        return (self.lags[:, nx - 1:].conj() @ w2).reshape(self.n_blocks, self.block_size, -1)
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
         # (phi_m kron I)^H Rinv (phi_m kron I) for every block m
-        nx, b = self.n_factor_rows, self.block_size
+        nx, b, m = self.n_factor_rows, self.block_size, self.n_blocks
         r = rinv.reshape(nx, b, nx, b).transpose(2, 0, 1, 3).reshape(nx * nx, b * b)
-        return (self.outer @ r).reshape(self.n_blocks, b, b)
+        if m * nx * nx >= 2 * (2 * nx - 1) * (nx * nx + m):
+            q = self.lags @ (self.diagonal_sum @ r)
+        else:
+            q = self.lags.take(self.lag_index, axis=1) @ r
+        return q.reshape(m, b, b)
 
     def gram(self, weights: np.ndarray) -> np.ndarray:
         """phi diag(weights) phi^H (nx x nx)."""
-        return (self.factor * weights) @ self.factor.conj().T
+        nx = self.n_factor_rows
+        return (weights @ self.lags)[self.lag_index].reshape(nx, nx)
 
 
 class _GridOperator(_BlockOperator):
     """The columns phi_u,i kron phi_v,j of the grid cells ``cells`` (flat
-    indices i Mv + j) as blocks of width one.  By the identity
-    Phi_u kron Phi_v = (Phi_u kron I_ny)(I_Mu kron Phi_v) every kernel is
-    the kernel of ``u``, the operator of Phi_u kron I_ny over the whole u
-    grid, and one GEMM through phi_v or the outer table P_v (Mv x ny^2),
-    read at ``cells``; Phi_u kron Phi_v is never formed.  A restriction
-    slices ``cells`` alone.  ``gram``'s A is the flat dictionary.
+    indices i Mv + j) as blocks of width one, for ``u``, the operator of
+    Phi_u kron I_ny over the whole u grid, and the v grid ``points_v``.
+    Both factors are Vandermonde, so Sigma_y is two-level Toeplitz and every
+    kernel runs through the lag tables E_u of ``u`` and E_v (Mv x (2ny - 1)):
+
+        gram:        G = E_u^T W E_v,  Sigma[(x, y), (x', y')] = G[x - x' + nx - 1, y - y' + ny - 1]
+        quad_blocks: Q = E_u Rbar E_v^T read at ``cells``
+
+    for the weight grid W (Mu x Mv, zero off ``cells``) and the two-level
+    lag sums Rbar[(x' - x), (y' - y)] of Rinv[(x, y), (x', y')], taken by
+    the diagonal-sum matrices of both axes; ``adjoint_blocks`` is
+    phi_v^H through ``u``'s, by Phi_u kron Phi_v = (Phi_u kron I_ny)(I_Mu kron Phi_v).
+    Phi_u kron Phi_v is never formed.  A restriction slices ``cells``
+    alone.  ``gram``'s A is the flat dictionary.
     """
 
     _per_block = (("cells", 0),)
 
-    def __init__(self, u: _KronIdentityOperator, phi_v: np.ndarray, cells: np.ndarray):
+    def __init__(self, u: _KronIdentityOperator, points_v: np.ndarray, n_v_rows: int,
+                 cells: np.ndarray):
         self.u = u
-        self.phi_v = np.asarray(phi_v, dtype=complex)
-        self.outer_v = _outer_table(self.phi_v)
+        ny = int(n_v_rows)
+        self.lags_v = _lag_table(np.asarray(points_v, dtype=float), ny)
+        self.diagonal_sum_v = _diagonal_sum(ny)
+        self.cov_index = _toeplitz_index(u.n_factor_rows, _lag_index(ny), 2 * ny - 1)
         self.cells = np.asarray(cells)
         self.n_blocks, self.block_size, self.n_rows = self.cells.size, 1, u.n_rows
 
@@ -321,26 +382,26 @@ class _GridOperator(_BlockOperator):
         return self.gram(scaled[:, 0, 0].real)
 
     def adjoint_blocks(self, w: np.ndarray) -> np.ndarray:
-        z = self.phi_v.conj().T @ self.u.adjoint_blocks(w)  # (Mu, Mv, L)
+        ny = self.u.block_size
+        z = self.lags_v[:, ny - 1:].conj() @ self.u.adjoint_blocks(w)  # (Mu, Mv, L)
         return z.reshape(-1, z.shape[-1])[self.cells, None, :]
 
     def quad_blocks(self, rinv: np.ndarray) -> np.ndarray:
-        # phi_v,j^H Q_i phi_v,j for the u blocks Q_i.  Rinv transposed over
-        # its v factor (a view) gives Q_i^T, which conj(P_v[j, y ny + y'])
-        # = P_v[j, y' ny + y] needs, with no copy beyond the u kernel's own
+        # phi_v,j^H Q_i phi_v,j for the u blocks Q_i, through the lags of both axes
         nx, ny = self.u.n_factor_rows, self.u.block_size
-        q = self.u.quad_blocks(rinv.reshape(nx, ny, nx, ny).transpose(0, 3, 2, 1))
-        return (q.reshape(self.u.n_blocks, -1) @ self.outer_v.T).reshape(-1)[self.cells, None, None]
+        r = rinv.reshape(nx, ny, nx, ny).transpose(2, 0, 3, 1).reshape(nx * nx, ny * ny)
+        rbar = self.u.diagonal_sum @ r @ self.diagonal_sum_v.T
+        q = (self.u.lags @ rbar) @ self.lags_v.T
+        return q.reshape(-1)[self.cells, None, None]
 
     def gram(self, weights: np.ndarray) -> np.ndarray:
-        """A diag(weights) A^H for the flat dictionary A (n x n): the u
-        operator's assembly with block i = sum_j w_ij phi_v,j phi_v,j^H.
-        The weight grid is complex: a real one against the complex P_v
-        leaves BLAS."""
-        (ny, mv), mu = self.phi_v.shape, self.u.n_blocks
-        w = np.zeros(mu * mv, dtype=complex)
+        """A diag(weights) A^H for the flat dictionary A (n x n).  The weight
+        grid is real, and W E_v a real GEMM against E_v read as interleaved
+        real and imaginary parts, half the work of a complex one."""
+        w = np.zeros(self.u.n_blocks * self.lags_v.shape[0])
         w[self.cells] = weights
-        return self.u.signal_cov((w.reshape(mu, mv) @ self.outer_v).reshape(mu, ny, ny))
+        wv = (w.reshape(self.u.n_blocks, -1) @ self.lags_v.view(float)).view(complex)
+        return (self.u.lags.T @ wv).ravel()[self.cov_index]
 
 
 def _operator_for(dictionary, y: SnapshotSet):
@@ -352,12 +413,12 @@ def _operator_for(dictionary, y: SnapshotSet):
         raise TypeError(f"unsupported dictionary type {type(dictionary).__name__}")
     flat = isinstance(dictionary, KronDictionary)
     pair = dictionary.pair if flat else dictionary
-    if pair.phi_u.shape[0] != y.nx:
-        raise ValueError(f"phi_u has {pair.phi_u.shape[0]} rows for an nx = {y.nx} array")
-    if flat and pair.phi_v.shape[0] != y.ny:
-        raise ValueError(f"phi_v has {pair.phi_v.shape[0]} rows for an ny = {y.ny} array")
-    u = _KronIdentityOperator(pair.phi_u, y.ny)
-    return _GridOperator(u, pair.phi_v, dictionary.cells) if flat else u
+    if pair.nx != y.nx:
+        raise ValueError(f"phi_u has {pair.nx} rows for an nx = {y.nx} array")
+    if flat and pair.ny != y.ny:
+        raise ValueError(f"phi_v has {pair.ny} rows for an ny = {y.ny} array")
+    u = _KronIdentityOperator(pair.grid_u.points, pair.nx, y.ny)
+    return _GridOperator(u, pair.grid_v.points, pair.ny, dictionary.cells) if flat else u
 
 
 # ---------------------------------------------------------------------------

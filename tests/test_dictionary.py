@@ -3,6 +3,7 @@ import pytest
 
 from hmsbl.dictionary import (
     Grid1D,
+    DictionaryPair,
     KronDictionary,
     dictionary_pair,
     effective_dictionary,
@@ -123,3 +124,16 @@ def test_dictionary_pair_validation():
     for cells in ([0, 20], [-1, 3], [3, 3], [4, 2], [[0, 1]], [0.0, 1.0]):  # 5 x 4 = 20 cells
         with pytest.raises(ValueError):
             KronDictionary(pair=pair, cells=np.array(cells))
+
+
+def test_dictionary_pair_derives_its_steering_factors():
+    # a pair is its grids and row counts; phi_u and phi_v are the steering
+    # matrices of its grids, formed on first read and kept
+    pair = dictionary_pair(UraConfig(3, 2), uniform_grid(5), uniform_grid(4))
+    assert "phi_u" not in vars(pair) and "phi_v" not in vars(pair)
+    np.testing.assert_array_equal(pair.phi_u, steering_matrix(pair.grid_u, 3))
+    np.testing.assert_array_equal(pair.phi_v, steering_matrix(pair.grid_v, 2))
+    assert pair.phi_u is pair.phi_u
+    for nx in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="nx must be an integer >= 1"):
+            DictionaryPair(grid_u=uniform_grid(5), grid_v=uniform_grid(4), nx=nx, ny=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmsbl.dictionary import (DictionaryPair, Grid1D, KronDictionary, dictionary_pair,
-                              kron_dictionary, uniform_grid)
+                              kron_dictionary, steering_matrix, uniform_grid)
 from hmsbl.pairing import msbl_estimates
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, synthesize_snapshots
 from hmsbl.solver import HMsblParams, HMsblState, run
@@ -13,15 +13,14 @@ def test_single_column_fixed_point_matches_scalar_ml():
     # [DERIVED] with one column the ML weight has the closed form
     # max(0, d^H S d / ||d||^4 - lam / ||d||^2); EM must converge to it
     rng = np.random.default_rng(0)
-    d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    grid_u = Grid1D(rng.uniform(-1, 1, size=1))
+    d = steering_matrix(grid_u, 4)[:, 0]
     x = rng.standard_normal((1, 200)) + 1j * rng.standard_normal((1, 200))
     lam = 0.3
     noise = (rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))) * np.sqrt(lam / 2)
     ymat = d[:, None] @ x + noise
     y = SnapshotSet(y=ymat, nx=4, ny=1, n_snapshots=200)
-    point = Grid1D(np.array([0.0]))
-    one = DictionaryPair(phi_u=d[:, None], phi_v=np.ones((1, 1), dtype=complex),
-                         grid_u=point, grid_v=point)
+    one = DictionaryPair(grid_u=grid_u, grid_v=Grid1D(np.array([0.0])), nx=4, ny=1)
     kd = KronDictionary(pair=one, cells=np.array([0]))  # the column d kron 1
 
     scm = ymat @ ymat.conj().T / 200

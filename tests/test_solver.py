@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hmsbl.dictionary import Grid1D, KronDictionary, dictionary_pair, kron_dictionary, uniform_grid
+from hmsbl.dictionary import (Grid1D, KronDictionary, dictionary_pair, kron_dictionary,
+                              steering_matrix, uniform_grid)
 from hmsbl.signal_model import Scene, SnapshotSet, Source, UraConfig, noise_power, sample_covariance, synthesize_snapshots
 from hmsbl import solver
 from hmsbl.solver import (
@@ -341,32 +342,42 @@ def _cplx(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _identity_grid_operator(phi, ny):
-    # the flat operator on Phi o I_ny = Phi o Phi_v with Phi_v = I_ny: every
-    # grid cell, M ny blocks of width one
-    u = solver._KronIdentityOperator(phi, ny)
-    return solver._GridOperator(u, np.eye(ny), np.arange(phi.shape[1] * ny))
+def _steering_factor(rng, n, m):
+    # the grid points of a random strictly increasing grid of m points and
+    # its steering matrix (n x m): the solver's operators take only these
+    points = np.sort(rng.uniform(-1, 1, size=m))
+    return points, steering_matrix(Grid1D(points), n)
+
+
+def _steering_operator(rng, nx, ny, m, kind):
+    """(operator, dense dictionary, block width, gram's A) over a random u
+    grid of m points: Phi_u o I_ny for "kron", and for "column" the flat
+    operator over every cell of that grid and a random v grid of ny points,
+    whose M ny blocks of width one are the columns of Phi_u o Phi_v."""
+    points, phi = _steering_factor(rng, nx, m)
+    u = solver._KronIdentityOperator(points, nx, ny)
+    if kind == "kron":
+        return u, kron_identity_loop(phi, ny), ny, phi
+    points_v, _ = _steering_factor(rng, ny, ny)
+    d = flat_dictionary_loop([(a, c) for a in points for c in points_v], nx, ny)
+    return solver._GridOperator(u, points_v, ny, np.arange(m * ny)), d, 1, d
 
 
 @pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (4, 3, 11), (1, 4, 6),
                                        (5, 1, 9), (1, 1, 4)])
 @pytest.mark.parametrize("kind", ["kron", "column"])
 def test_operator_kernels_match_dense_products(nx, ny, m, kind):
-    # each kernel against the dense (Phi o I_ny) built by the index formula;
-    # the flat operator runs on that dense matrix as M ny blocks of width one,
-    # the grid cells of Phi o I_ny = Phi o Phi_v with Phi_v = I_ny
+    # each kernel against the dense (Phi o I_ny) built by the index formula
+    # for the steering matrix Phi of a random grid; the flat operator runs
+    # on Phi o Phi_v, built by the steering formula, for a random v grid of
+    # ny points, as M ny blocks of width one
     rng = np.random.default_rng(100 * nx + 10 * ny + m)
-    phi = _cplx(rng, nx, m)
-    d = kron_identity_loop(phi, ny)
-    if kind == "kron":
-        op, b = solver._KronIdentityOperator(phi, ny), ny
-    else:
-        op, b = _identity_grid_operator(phi, ny), 1
+    op, d, b, _ = _steering_operator(rng, nx, ny, m, kind)
     n_blocks, n_snap = d.shape[1] // b, 3
 
     state = _random_state(rng, n_blocks, b)
     keep = rng.uniform(size=n_blocks) < 0.6  # partially pruned
-    keep[0] = True
+    keep[0], keep[-1] = True, False
     state.gamma[~keep] = 0.0
     scaled = solver._scaled_prior(state)
     want = d @ block_diag_prior(np.ones(n_blocks), scaled) @ d.conj().T
@@ -383,6 +394,44 @@ def test_operator_kernels_match_dense_products(nx, ny, m, kind):
 
 
 
+@pytest.mark.parametrize("nx, ny, m", [(1, 3, 8), (4, 1, 9), (2, 5, 7), (6, 2, 56), (6, 2, 57),
+                                       (5, 3, 80)])
+@pytest.mark.parametrize("kind", ["kron", "column"])
+@pytest.mark.parametrize("one_block", [False, True])
+def test_lag_kernels_match_dense_products(nx, ny, m, kind, one_block):
+    # the lag kernels at their edges, each against the dense dictionary:
+    # a single lag (nx = 1), one v row (ny = 1), unequal axes, a restriction
+    # to one block, and both groupings of the block operator's quad_blocks,
+    # P R below its flop rule (56 blocks at nx = 6, and every restriction to
+    # one block) and E (S R) on or above it (57 at nx = 6, 80 at nx = 5)
+    lags = m * nx * nx >= 2 * (2 * nx - 1) * (nx * nx + m)
+    assert lags == (m in (57, 80))
+    rng = np.random.default_rng(10 * m + nx + 7 * ny + one_block)
+    op, d, b, a = _steering_operator(rng, nx, ny, m, kind)
+    index = rng.integers(op.n_blocks, size=1) if one_block else np.arange(op.n_blocks)
+    if one_block:
+        op = op.restrict(index)
+    sub = d[:, (index[:, None] * b + np.arange(b)).ravel()]  # the columns of those blocks
+    n = nx * ny
+
+    scaled = solver._scaled_prior(_random_state(rng, index.size, b))
+    want = sub @ block_diag_prior(np.ones(index.size), scaled) @ sub.conj().T
+    assert _rel_err(op.signal_cov(scaled), want) < 1e-12
+
+    w = rng.uniform(0.1, 2.0, size=index.size)
+    want = (a[:, index] * w) @ a[:, index].conj().T
+    assert _rel_err(op.gram(w), want) < 1e-12
+
+    rmat = _cplx(rng, n, n)  # not Hermitian: every index order counts
+    full = sub.conj().T @ rmat @ sub
+    want = np.array([full[i * b:(i + 1) * b, i * b:(i + 1) * b] for i in range(index.size)])
+    assert _rel_err(op.quad_blocks(rmat), want) < 1e-12
+
+    y = _cplx(rng, n, 3)
+    want = (sub.conj().T @ y).reshape(index.size, b, 3)
+    assert _rel_err(op.adjoint_blocks(y), want) < 1e-12
+
+
 @pytest.mark.parametrize("nx, ny, m", [(3, 2, 5), (2, 5, 7), (1, 4, 6), (5, 1, 9), (1, 1, 4)])
 @pytest.mark.parametrize("kind", ["kron", "column"])
 @pytest.mark.parametrize("compress", [False, True])
@@ -390,18 +439,13 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
     # the moments, cost and noise update run() takes from R = Sigma_y^-1 and
     # R Y, against dense Gaussian conditioning on the uncompressed data
     rng = np.random.default_rng(1000 * nx + 100 * ny + m + 7 * compress)
-    phi = _cplx(rng, nx, m)
-    d = kron_identity_loop(phi, ny)
+    op, d, b, a = _steering_operator(rng, nx, ny, m, kind)
     n = nx * ny
     wide = _cplx(rng, n, 3 * n + 2)  # more snapshots than rows: compression acts
-    if kind == "kron":
-        op, b, a = solver._KronIdentityOperator(phi, ny), ny, phi
-    else:
-        op, b, a = _identity_grid_operator(phi, ny), 1, d
     n_blocks = d.shape[1] // b
     state = _random_state(rng, n_blocks, b, lam=0.3)
     keep = rng.uniform(size=n_blocks) < 0.6  # partially pruned
-    keep[0] = True
+    keep[0], keep[-1] = True, False
     state.gamma[~keep] = 0.0
     gamma = state.gamma
     # fewer snapshots than rows, as on large-array (L = 50 < 64): R Y is
@@ -419,8 +463,8 @@ def test_em_statistics_match_dense_oracle(nx, ny, m, kind, compress):
         assert (data.y.shape[1] < n_snap) == (compress and n_snap > n)
         post = solver._marginal(cop, solver._scaled_prior(state)[at], state.noise_var, data)
         if kind == "kron":
-            mu_o, sig_o = dense_posterior(y.y, phi, ny, gamma, state.b_mats, 0.3)
-            cost_o = dense_ml_cost(sample_covariance(y), phi, ny, gamma, state.b_mats, 0.3)
+            mu_o, sig_o = dense_posterior(y.y, a, ny, gamma, state.b_mats, 0.3)
+            cost_o = dense_ml_cost(sample_covariance(y), a, ny, gamma, state.b_mats, 0.3)
         else:
             mu_o, var_o = dense_flat_posterior(y.y, d, gamma, 0.3)
             sig_o = var_o[:, None, None]
@@ -447,12 +491,7 @@ def test_marginal_matches_dense_inverse(nx, ny, m, kind):
     # R, R Y and the cost from the LAPACK factorisation against a dense
     # inverse and log-determinant; nx = ny = 1 factors a 1 x 1 Sigma_y
     rng = np.random.default_rng(500 + 100 * nx + 10 * ny + m)
-    phi = _cplx(rng, nx, m)
-    d = kron_identity_loop(phi, ny)
-    if kind == "kron":
-        op, b = solver._KronIdentityOperator(phi, ny), ny
-    else:
-        op, b = _identity_grid_operator(phi, ny), 1
+    op, d, b, _ = _steering_operator(rng, nx, ny, m, kind)
     n_blocks, n = d.shape[1] // b, nx * ny
     state = _random_state(rng, n_blocks, b, lam=0.2)
     keep = rng.uniform(size=n_blocks) < 0.6
@@ -572,13 +611,16 @@ def test_flat_run_never_forms_the_dictionary():
 
 def test_grid_operator_tables_are_small_at_16x16():
     # 16 x 16 with Mu = Mv = 200: the flat operator and the u operator it
-    # wraps hold the factors, one outer table per axis and the cell index,
-    # not the 121 MiB dictionary
+    # wraps hold one lag table and one diagonal-sum matrix per axis, the
+    # two-level Toeplitz index and the cell index, not the 121 MiB
+    # dictionary; the kernels run first, so tables built on first use count
     pair = dictionary_pair(UraConfig(16, 16), uniform_grid(200), uniform_grid(200))
     kd = kron_dictionary(pair)
     y = SnapshotSet(y=np.zeros((256, 1), dtype=complex), nx=16, ny=16, n_snapshots=1)
     op = solver._operator_for(kd, y)
     assert isinstance(op.u, solver._KronIdentityOperator)
+    post = solver._marginal(op, np.ones((kd.size, 1, 1), dtype=complex), 1.0, y)
+    post.mu, post.sigma_blocks, op.gram(np.ones(kd.size))
     held = sum(v.nbytes for o in (op, op.u) for v in vars(o).values()
                if isinstance(v, np.ndarray))
     mib = 1 << 20
@@ -589,15 +631,18 @@ def test_grid_operator_tables_are_small_at_16x16():
 
 @pytest.mark.parametrize("case", ["negative lam", "lam 1e-30", "nan power", "inf power"])
 def test_marginal_raises_on_an_indefinite_or_non_finite_sigma_y(case):
-    # a rank-deficient signal part (2 blocks of size 2 on 6 rows) leaves
-    # Sigma_y indefinite when lam is negative or numerically so at lam = 1e-30
+    # a rank-deficient signal part (1 block of size 2 on 6 rows: a steering
+    # factor's Sigma_y then has four null directions, and its Cholesky
+    # factorisation met a non-positive pivot at lam = 1e-30 for each of 200
+    # seeds tried, two blocks for 169) leaves Sigma_y indefinite when lam is
+    # negative or numerically so at lam = 1e-30
     rng = np.random.default_rng(34)
-    op = solver._KronIdentityOperator(_cplx(rng, 3, 2), 2)
-    state = _random_state(rng, 2, 2, lam=-0.5 if case == "negative lam" else 1e-30)
+    op = solver._KronIdentityOperator(_steering_factor(rng, 3, 1)[0], 3, 2)
+    state = _random_state(rng, 1, 2, lam=-0.5 if case == "negative lam" else 1e-30)
     if case == "nan power":
-        state.gamma[1], state.noise_var = np.nan, 0.1
+        state.gamma[0], state.noise_var = np.nan, 0.1
     if case == "inf power":
-        state.gamma[1], state.noise_var = np.inf, 0.1
+        state.gamma[0], state.noise_var = np.inf, 0.1
     y = _cplx(rng, 6, 8)
     data = SnapshotSet(y=y, nx=3, ny=2, n_snapshots=8)
     # inf * 0j warns in numpy's own arithmetic before LAPACK sees Sigma_y
